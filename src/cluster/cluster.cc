@@ -33,22 +33,29 @@ bool RangesIntersect(const KeyRange& a, const KeyRange& b) {
 
 namespace {
 
-// Intersection of a query range with a routing entry's range. Only called
-// for intersecting pairs, so the result is non-empty.
-KeyRange ClampRange(const KeyRange& query, const KeyRange& owned) {
-  KeyRange out;
+// Intersection of a query range with a routing entry's range, as slices of
+// whichever of the two ranges supplies each bound. Only called for
+// intersecting pairs, so the result is non-empty; it borrows both ranges.
+kv::ScanWindow ClampWindow(const KeyRange& query, const KeyRange& owned) {
+  kv::ScanWindow out;
   out.start = Slice(query.start).compare(Slice(owned.start)) >= 0
-                  ? query.start
-                  : owned.start;
+                  ? Slice(query.start)
+                  : Slice(owned.start);
   if (owned.end.empty()) {
-    out.end = query.end;
+    out.end = Slice(query.end);
   } else if (query.end.empty()) {
-    out.end = owned.end;
+    out.end = Slice(owned.end);
   } else {
-    out.end =
-        Slice(query.end).compare(Slice(owned.end)) <= 0 ? query.end : owned.end;
+    out.end = Slice(query.end).compare(Slice(owned.end)) <= 0
+                  ? Slice(query.end)
+                  : Slice(owned.end);
   }
   return out;
+}
+
+KeyRange ClampRange(const KeyRange& query, const KeyRange& owned) {
+  const kv::ScanWindow w = ClampWindow(query, owned);
+  return KeyRange{w.start.ToString(), w.end.ToString()};
 }
 
 std::string HexEncode(const std::string& s) {
@@ -802,23 +809,17 @@ Status ClusterTable::MultiScan(const std::vector<KeyRange>& ranges,
                                ScanOutcome* outcome) {
   // Group windows by routing entry: one task (and one iterator stack) per
   // region instead of one per (region, window). Each window is clamped to
-  // its entry's routing range (see ParallelScan); the clamped KeyRanges own
-  // the strings the ScanWindow slices borrow, and both vectors are fully
-  // built before the parallel phase starts.
+  // its entry's routing range (see ParallelScan). The clamped windows are
+  // slices of `ranges` and of the routing snapshot's entries, both alive
+  // for the whole call, so a wide plan's window list is never copied; the
+  // groups are fully built before the parallel phase starts.
   std::shared_ptr<const RoutingTable> routing = Routing();
   const std::vector<RoutingEntry>& entries = routing->entries();
-  std::vector<std::vector<KeyRange>> clamped(entries.size());
+  std::vector<std::vector<kv::ScanWindow>> grouped(entries.size());
   for (const KeyRange& range : ranges) {
     for (const RoutingEntry* e : routing->Intersecting(range)) {
       const size_t idx = static_cast<size_t>(e - entries.data());
-      clamped[idx].push_back(ClampRange(range, e->range));
-    }
-  }
-  std::vector<std::vector<kv::ScanWindow>> grouped(entries.size());
-  for (size_t i = 0; i < entries.size(); i++) {
-    grouped[i].reserve(clamped[i].size());
-    for (const KeyRange& r : clamped[i]) {
-      grouped[i].push_back(kv::ScanWindow{Slice(r.start), Slice(r.end)});
+      grouped[idx].push_back(ClampWindow(range, e->range));
     }
   }
 

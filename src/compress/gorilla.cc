@@ -19,6 +19,24 @@ double BitsToDouble(uint64_t bits) {
   return d;
 }
 
+// Big-endian load of the first min(8, size) bytes at `p`; missing bytes
+// read as zero.
+uint64_t LoadBigEndian64(const char* p, size_t size) {
+  if (size >= 8) {
+    uint64_t word;
+    memcpy(&word, p, sizeof(word));
+    if constexpr (std::endian::native == std::endian::little) {
+      word = __builtin_bswap64(word);
+    }
+    return word;
+  }
+  uint64_t word = 0;
+  for (size_t i = 0; i < 8; i++) {
+    word = (word << 8) | (i < size ? static_cast<uint8_t>(p[i]) : 0u);
+  }
+  return word;
+}
+
 }  // namespace
 
 void GorillaEncoder::WriteBit(bool bit) {
@@ -79,62 +97,58 @@ std::string GorillaEncoder::Finish() {
   return std::move(buffer_);
 }
 
-bool GorillaDecoder::ReadBit(bool* bit) {
-  if (byte_pos_ >= size_) return false;
-  const uint8_t byte = static_cast<uint8_t>(data_[byte_pos_]);
-  *bit = (byte >> (7 - bit_pos_)) & 1;
-  bit_pos_++;
-  if (bit_pos_ == 8) {
-    bit_pos_ = 0;
-    byte_pos_++;
+bool GorillaDecoder::ReadBits(int bits, uint64_t* value) {
+  if (bit_pos_ + static_cast<size_t>(bits) > size_ * 8) return false;
+  const size_t byte = bit_pos_ >> 3;
+  const int shift = static_cast<int>(bit_pos_ & 7);
+  const uint64_t word = LoadBigEndian64(data_ + byte, size_ - byte);
+  uint64_t window = word << shift;
+  if (bits > 64 - shift) {
+    // The field spans nine bytes; the bounds check above guarantees the
+    // ninth exists.
+    window |= static_cast<uint8_t>(data_[byte + 8]) >> (8 - shift);
   }
+  *value = window >> (64 - bits);
+  bit_pos_ += static_cast<size_t>(bits);
   return true;
 }
 
-bool GorillaDecoder::ReadBits(int bits, uint64_t* value) {
-  uint64_t result = 0;
-  for (int i = 0; i < bits; i++) {
-    bool bit;
-    if (!ReadBit(&bit)) return false;
-    result = (result << 1) | (bit ? 1 : 0);
+bool GorillaDecoder::Next(double* value) {
+  if (!started_) {
+    if (!ReadBits(64, &prev_)) return false;
+    started_ = true;
+    *value = BitsToDouble(prev_);
+    return true;
   }
-  *value = result;
+  uint64_t control;
+  if (!ReadBits(1, &control)) return false;
+  if (control != 0) {
+    if (!ReadBits(1, &control)) return false;
+    if (control != 0) {
+      // New window: 5 bits leading zeros, 6 bits meaningful length.
+      uint64_t window;
+      if (!ReadBits(11, &window)) return false;
+      leading_ = static_cast<int>(window >> 6);
+      meaningful_ = static_cast<int>(window & 63);
+      if (meaningful_ == 0) meaningful_ = 64;  // 6-bit overflow encoding
+    }
+    if (meaningful_ == 0 || leading_ + meaningful_ > 64) return false;
+    uint64_t xor_bits;
+    if (!ReadBits(meaningful_, &xor_bits)) return false;
+    prev_ ^= xor_bits << (64 - leading_ - meaningful_);
+  }
+  *value = BitsToDouble(prev_);
   return true;
 }
 
 bool GorillaDecoder::Decode(size_t count, std::vector<double>* out) {
   out->clear();
-  if (count == 0) return true;
-  out->reserve(count);
-
-  uint64_t prev;
-  if (!ReadBits(64, &prev)) return false;
-  out->push_back(BitsToDouble(prev));
-
-  int leading = 0;
-  int meaningful = 0;
-  while (out->size() < count) {
-    bool changed;
-    if (!ReadBit(&changed)) return false;
-    if (!changed) {
-      out->push_back(BitsToDouble(prev));
-      continue;
-    }
-    bool new_window;
-    if (!ReadBit(&new_window)) return false;
-    if (new_window) {
-      uint64_t lead_bits, len_bits;
-      if (!ReadBits(5, &lead_bits) || !ReadBits(6, &len_bits)) return false;
-      leading = static_cast<int>(lead_bits);
-      meaningful = static_cast<int>(len_bits);
-      if (meaningful == 0) meaningful = 64;  // 6-bit overflow encoding
-    }
-    if (meaningful == 0 || leading + meaningful > 64) return false;
-    uint64_t xor_bits;
-    if (!ReadBits(meaningful, &xor_bits)) return false;
-    const int trailing = 64 - leading - meaningful;
-    prev ^= xor_bits << trailing;
-    out->push_back(BitsToDouble(prev));
+  // Every value after the first takes at least one bit: a larger count
+  // cannot be in the stream, so it is refused before reserving for it.
+  if (count > size_ * 8) return false;
+  out->resize(count);
+  for (double& value : *out) {
+    if (!Next(&value)) return false;
   }
   return true;
 }

@@ -30,22 +30,31 @@ class GorillaEncoder {
   size_t count_ = 0;
 };
 
+// Reads the bitstream a word at a time: each field is cut from a 64-bit
+// big-endian load by shift and mask. Every read is bounds-checked, so
+// truncated or malformed input fails instead of reading past `size`.
 class GorillaDecoder {
  public:
   GorillaDecoder(const char* data, size_t size)
       : data_(data), size_(size) {}
 
+  // Decodes the next value; false on malformed or truncated input.
+  bool Next(double* value);
+
   // Decodes exactly `count` doubles; false on malformed input.
   bool Decode(size_t count, std::vector<double>* out);
 
  private:
-  bool ReadBit(bool* bit);
+  // Reads `bits` (1 to 64) bits, most significant first.
   bool ReadBits(int bits, uint64_t* value);
 
   const char* data_;
   size_t size_;
-  size_t byte_pos_ = 0;
-  int bit_pos_ = 0;
+  size_t bit_pos_ = 0;  // absolute bit offset into data_
+  bool started_ = false;
+  uint64_t prev_ = 0;
+  int leading_ = 0;
+  int meaningful_ = 0;
 };
 
 }  // namespace tman::compress

@@ -1,7 +1,6 @@
 #include "compress/traj_codec.h"
 
 #include "common/coding.h"
-#include "compress/gorilla.h"
 #include "compress/simple8b.h"
 
 namespace tman::compress {
@@ -60,7 +59,7 @@ bool EncodePoints(const PointColumns& columns, std::string* out) {
   return true;
 }
 
-bool DecodePoints(const char* data, size_t size, PointColumns* columns) {
+bool PointDecoder::Init(const char* data, size_t size) {
   Slice input(data, size);
   uint32_t n;
   if (!GetVarint32(&input, &n)) return false;
@@ -70,15 +69,37 @@ bool DecodePoints(const char* data, size_t size, PointColumns* columns) {
       !GetLengthPrefixedSlice(&input, &lat_blob)) {
     return false;
   }
-
+  // Every Gorilla value after the first takes at least one bit; refuse a
+  // corrupt count before unpacking that many timestamps.
+  if (n > lon_blob.size() * 8) return false;
   std::vector<uint64_t> dod;
   if (!Simple8bDecode(ts_blob.data(), ts_blob.size(), n, &dod)) return false;
-  DeltaOfDeltaDecode(dod, &columns->timestamps);
+  DeltaOfDeltaDecode(dod, &timestamps_);
+  next_ = 0;
+  lon_ = GorillaDecoder(lon_blob.data(), lon_blob.size());
+  lat_ = GorillaDecoder(lat_blob.data(), lat_blob.size());
+  return true;
+}
 
-  GorillaDecoder lon_dec(lon_blob.data(), lon_blob.size());
-  if (!lon_dec.Decode(n, &columns->lons)) return false;
-  GorillaDecoder lat_dec(lat_blob.data(), lat_blob.size());
-  if (!lat_dec.Decode(n, &columns->lats)) return false;
+bool PointDecoder::Next(int64_t* timestamp, double* lon, double* lat) {
+  if (next_ >= timestamps_.size()) return false;
+  *timestamp = timestamps_[next_++];
+  return lon_.Next(lon) && lat_.Next(lat);
+}
+
+bool DecodePoints(const char* data, size_t size, PointColumns* columns) {
+  PointDecoder decoder;
+  if (!decoder.Init(data, size)) return false;
+  const size_t n = decoder.count();
+  columns->timestamps.resize(n);
+  columns->lons.resize(n);
+  columns->lats.resize(n);
+  for (size_t i = 0; i < n; i++) {
+    if (!decoder.Next(&columns->timestamps[i], &columns->lons[i],
+                      &columns->lats[i])) {
+      return false;
+    }
+  }
   return true;
 }
 

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "compress/gorilla.h"
+
 namespace tman::compress {
 
 // Columnar, lossless codec for the `points` column of a trajectory row
@@ -27,6 +29,28 @@ bool EncodePoints(const PointColumns& columns, std::string* out);
 
 // Decodes a blob produced by EncodePoints.
 bool DecodePoints(const char* data, size_t size, PointColumns* columns);
+
+// Point-at-a-time decoder of a blob produced by EncodePoints, for callers
+// that store points row-wise: no PointColumns copy in between. The blob
+// must outlive the decoder.
+class PointDecoder {
+ public:
+  // Parses the layout and unpacks the timestamp column; false on malformed
+  // input.
+  bool Init(const char* data, size_t size);
+
+  // Number of points in the blob (valid after a successful Init).
+  size_t count() const { return timestamps_.size(); }
+
+  // Decodes the next point; false on malformed input or past count().
+  bool Next(int64_t* timestamp, double* lon, double* lat);
+
+ private:
+  std::vector<int64_t> timestamps_;
+  size_t next_ = 0;
+  GorillaDecoder lon_{nullptr, 0};
+  GorillaDecoder lat_{nullptr, 0};
+};
 
 // Timestamp helper codecs, exposed for tests and benchmarks.
 void DeltaOfDeltaEncode(const std::vector<int64_t>& values,

@@ -351,7 +351,8 @@ bool ThresholdVerifySink::Accept(const Slice& key, const Slice& value) {
     return false;
   }
   if (stats_ != nullptr) stats_->exact_distance_computations++;
-  if (geo::ExactDistance(measure_, query_->points, points) <= threshold_) {
+  if (geo::ExactDistanceBounded(measure_, query_->points, points, threshold_,
+                                /*strict=*/true) <= threshold_) {
     traj::Trajectory t;
     t.oid = header.oid.ToString();
     t.tid = header.tid.ToString();
@@ -370,8 +371,11 @@ bool TopKSink::Accept(const Slice& key, const Slice& value) {
 
   RecordHeader header;
   if (!DecodeRecordHeader(value, &header)) return true;
-  const std::string tid = header.tid.ToString();
-  if (tid == query_->tid || !seen_.insert(tid).second) return true;
+  // Expanding-radius rounds stream the same rows again: look the tid up
+  // in place and copy it only the first time it is seen.
+  const std::string_view tid = header.tid.view();
+  if (tid == query_->tid || seen_.contains(tid)) return true;
+  seen_.emplace(tid);
 
   const double kth_bound = Full() ? KthBound() : 1e300;
   geo::DPFeatures features;
@@ -382,12 +386,13 @@ bool TopKSink::Accept(const Slice& key, const Slice& value) {
   std::vector<geo::TimedPoint> points;
   if (!DecodeRecordPoints(header, &points)) return true;
   if (stats_ != nullptr) stats_->exact_distance_computations++;
-  const double d = geo::ExactDistance(measure_, query_->points, points);
+  const double d = geo::ExactDistanceBounded(measure_, query_->points, points,
+                                             kth_bound, /*strict=*/false);
   if (d >= kth_bound) return true;
 
   Scored scored{d, traj::Trajectory{}};
   scored.trajectory.oid = header.oid.ToString();
-  scored.trajectory.tid = tid;
+  scored.trajectory.tid = std::string(tid);
   scored.trajectory.points = std::move(points);
   best_.insert(std::upper_bound(best_.begin(), best_.end(), scored,
                                 [](const Scored& a, const Scored& b) {

@@ -2,9 +2,11 @@
 #define TMAN_CORE_EXECUTOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -197,8 +199,17 @@ class TopKSink : public kv::RowSink {
   geo::DPFeatures query_features_;
   QueryStats* stats_;
   double cutoff_ = 0;
+  // Hashes std::string and std::string_view alike, so tids can be looked
+  // up without building a string.
+  struct TidHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view tid) const {
+      return std::hash<std::string_view>{}(tid);
+    }
+  };
+
   std::vector<Scored> best_;  // kept sorted ascending by distance
-  std::unordered_set<std::string> seen_;
+  std::unordered_set<std::string, TidHash, std::equal_to<>> seen_;
 };
 
 }  // namespace tman::core

@@ -9,44 +9,30 @@
 
 namespace tman::core {
 
-namespace {
-
-// Sorts the plan's windows by start key and merges neighbours that overlap
-// or touch (next.start <= cur.end; an empty end is "to infinity" and
-// absorbs everything after it). Index planners emit disjoint windows, so
-// merging only fuses back-to-back key ranges — the union of the merged
-// windows is exactly the merged range and result sets are unchanged.
-// Sorted output is what lets the batched read path (ClusterTable::MultiScan
-// -> kv::DB::MultiScan) advance one cursor monotonically instead of
-// re-seeking per window. Returns the number of windows merged away.
 uint64_t CoalesceWindows(std::vector<cluster::KeyRange>* windows) {
   if (windows->size() < 2) return 0;
   std::sort(windows->begin(), windows->end(),
             [](const cluster::KeyRange& a, const cluster::KeyRange& b) {
               return a.start < b.start;
             });
-  std::vector<cluster::KeyRange> merged;
-  merged.reserve(windows->size());
-  merged.push_back(std::move((*windows)[0]));
-  uint64_t coalesced = 0;
+  size_t last = 0;  // the window the next one may merge into
   for (size_t i = 1; i < windows->size(); i++) {
-    cluster::KeyRange& cur = merged.back();
+    cluster::KeyRange& cur = (*windows)[last];
     cluster::KeyRange& next = (*windows)[i];
     const bool cur_unbounded = cur.end.empty();
     if (cur_unbounded || next.start <= cur.end) {
       if (!cur_unbounded && (next.end.empty() || next.end > cur.end)) {
         cur.end = std::move(next.end);
       }
-      coalesced++;
-    } else {
-      merged.push_back(std::move(next));
+    } else if (++last != i) {
+      (*windows)[last] = std::move(next);
     }
   }
-  *windows = std::move(merged);
+  const uint64_t coalesced = windows->size() - (last + 1);
+  windows->erase(windows->begin() + static_cast<ptrdiff_t>(last + 1),
+                 windows->end());
   return coalesced;
 }
-
-}  // namespace
 
 QueryPlanner::QueryPlanner(const TManOptions* options,
                            const index::TRIndex* tr, const index::XZTIndex* xzt,

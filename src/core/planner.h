@@ -65,6 +65,18 @@ struct QueryPlan {
   uint64_t windows_coalesced = 0;  // windows merged by the sort+coalesce pass
 };
 
+// Sorts `windows` by start key and merges, in place, neighbours that
+// overlap or touch (next.start <= cur.end; an empty end is "to infinity"
+// and absorbs everything after it). Index planners emit disjoint windows,
+// so merging only fuses back-to-back key ranges: the union of the merged
+// windows is exactly the merged range and result sets are unchanged.
+// Sorted output is what lets the batched read path
+// (ClusterTable::MultiScan -> kv::DB::MultiScan) advance one cursor
+// monotonically instead of re-seeking per window. No second window list is
+// built: a wide plan's windows are the largest allocation of its query.
+// Returns the number of windows merged away.
+uint64_t CoalesceWindows(std::vector<cluster::KeyRange>* windows);
+
 // Rule- and cost-based planner for the six paper queries (§V). Pure with
 // respect to storage: it consults only the index structures, the index
 // cache, and TManOptions, so plans are unit-testable without a cluster.

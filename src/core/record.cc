@@ -82,16 +82,13 @@ bool DecodeRecordHeader(const Slice& value, RecordHeader* header) {
 
 bool DecodeRecordPoints(const RecordHeader& header,
                         std::vector<geo::TimedPoint>* points) {
-  compress::PointColumns columns;
-  if (!compress::DecodePoints(header.points_blob.data(),
-                              header.points_blob.size(), &columns)) {
+  compress::PointDecoder decoder;
+  if (!decoder.Init(header.points_blob.data(), header.points_blob.size())) {
     return false;
   }
-  points->clear();
-  points->reserve(columns.timestamps.size());
-  for (size_t i = 0; i < columns.timestamps.size(); i++) {
-    points->push_back(geo::TimedPoint{columns.lons[i], columns.lats[i],
-                                      columns.timestamps[i]});
+  points->resize(decoder.count());
+  for (geo::TimedPoint& p : *points) {
+    if (!decoder.Next(&p.t, &p.x, &p.y)) return false;
   }
   return true;
 }

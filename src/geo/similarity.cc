@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace tman::geo {
 
@@ -13,34 +14,55 @@ double PointToRectDistance(const Point& p, const MBR& r) {
   return std::sqrt(dx * dx + dy * dy);
 }
 
-}  // namespace
+// Whether `d` lies past a caller's rejection bound.
+bool PastBound(double d, double bound, bool strict) {
+  return strict ? d > bound : d >= bound;
+}
 
-double DiscreteFrechet(const std::vector<TimedPoint>& a,
-                       const std::vector<TimedPoint>& b) {
+double SquaredGap(const TimedPoint& p, const TimedPoint& q) {
+  return SquaredDistance(Point{p.x, p.y}, Point{q.x, q.y});
+}
+
+// The DP runs on squared point distances and takes one sqrt at the end:
+// sqrt is monotone and correctly rounded, so the max/min of square roots
+// equals the square root of the max/min of squares bit for bit. Every
+// coupling passes through every row and a Fréchet value never falls along
+// it, so a row whose smallest cell is past the bound ends the search.
+double FrechetBounded(const std::vector<TimedPoint>& a,
+                      const std::vector<TimedPoint>& b, double bound,
+                      bool strict) {
   const size_t n = a.size();
   const size_t m = b.size();
   if (n == 0 || m == 0) return 1e300;
 
   // Rolling 1-D dynamic program over the coupling matrix.
   std::vector<double> prev(m), curr(m);
-  auto d = [&](size_t i, size_t j) {
-    return Distance(Point{a[i].x, a[i].y}, Point{b[j].x, b[j].y});
-  };
-  prev[0] = d(0, 0);
-  for (size_t j = 1; j < m; j++) prev[j] = std::max(prev[j - 1], d(0, j));
+  prev[0] = SquaredGap(a[0], b[0]);
+  for (size_t j = 1; j < m; j++) {
+    prev[j] = std::max(prev[j - 1], SquaredGap(a[0], b[j]));
+  }
+  double row_min = std::sqrt(prev[0]);  // row 0 never decreases
+  if (PastBound(row_min, bound, strict)) return row_min;
   for (size_t i = 1; i < n; i++) {
-    curr[0] = std::max(prev[0], d(i, 0));
+    curr[0] = std::max(prev[0], SquaredGap(a[i], b[0]));
+    double row_min_sq = curr[0];
     for (size_t j = 1; j < m; j++) {
       const double reach = std::min({prev[j], prev[j - 1], curr[j - 1]});
-      curr[j] = std::max(reach, d(i, j));
+      curr[j] = std::max(reach, SquaredGap(a[i], b[j]));
+      row_min_sq = std::min(row_min_sq, curr[j]);
     }
     std::swap(prev, curr);
+    row_min = std::sqrt(row_min_sq);
+    if (PastBound(row_min, bound, strict)) return row_min;
   }
-  return prev[m - 1];
+  return std::sqrt(prev[m - 1]);
 }
 
-double DTWDistance(const std::vector<TimedPoint>& a,
-                   const std::vector<TimedPoint>& b) {
+// Same abandon rule as Fréchet: every warping path crosses every row and
+// adding non-negative costs never lowers a float sum.
+double DTWBounded(const std::vector<TimedPoint>& a,
+                  const std::vector<TimedPoint>& b, double bound,
+                  bool strict) {
   const size_t n = a.size();
   const size_t m = b.size();
   if (n == 0 || m == 0) return 1e300;
@@ -51,47 +73,81 @@ double DTWDistance(const std::vector<TimedPoint>& a,
   };
   prev[0] = d(0, 0);
   for (size_t j = 1; j < m; j++) prev[j] = prev[j - 1] + d(0, j);
+  if (PastBound(prev[0], bound, strict)) return prev[0];  // row 0 grows
   for (size_t i = 1; i < n; i++) {
     curr[0] = prev[0] + d(i, 0);
+    double row_min = curr[0];
     for (size_t j = 1; j < m; j++) {
       curr[j] = std::min({prev[j], prev[j - 1], curr[j - 1]}) + d(i, j);
+      row_min = std::min(row_min, curr[j]);
     }
     std::swap(prev, curr);
+    if (PastBound(row_min, bound, strict)) return row_min;
   }
   return prev[m - 1];
 }
 
-double HausdorffDistance(const std::vector<TimedPoint>& a,
-                         const std::vector<TimedPoint>& b) {
+// The result is a running maximum, so it is past the bound as soon as any
+// directed point distance is.
+double HausdorffBounded(const std::vector<TimedPoint>& a,
+                        const std::vector<TimedPoint>& b, double bound,
+                        bool strict) {
   if (a.empty() || b.empty()) return 1e300;
-  auto directed = [](const std::vector<TimedPoint>& from,
-                     const std::vector<TimedPoint>& to) {
-    double result = 0;
+  double result = 0;
+  auto directed = [&](const std::vector<TimedPoint>& from,
+                      const std::vector<TimedPoint>& to) {
     for (const TimedPoint& p : from) {
       double best = 1e300;
       for (const TimedPoint& q : to) {
-        const double d =
-            Distance(Point{p.x, p.y}, Point{q.x, q.y});
+        const double d = Distance(Point{p.x, p.y}, Point{q.x, q.y});
         if (d < best) best = d;
         if (best == 0) break;
       }
       result = std::max(result, best);
+      if (PastBound(result, bound, strict)) return false;
     }
-    return result;
+    return true;
   };
-  return std::max(directed(a, b), directed(b, a));
+  if (directed(a, b)) directed(b, a);
+  return result;
+}
+
+constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+
+}  // namespace
+
+double DiscreteFrechet(const std::vector<TimedPoint>& a,
+                       const std::vector<TimedPoint>& b) {
+  return FrechetBounded(a, b, kUnbounded, true);
+}
+
+double DTWDistance(const std::vector<TimedPoint>& a,
+                   const std::vector<TimedPoint>& b) {
+  return DTWBounded(a, b, kUnbounded, true);
+}
+
+double HausdorffDistance(const std::vector<TimedPoint>& a,
+                         const std::vector<TimedPoint>& b) {
+  return HausdorffBounded(a, b, kUnbounded, true);
 }
 
 double ExactDistance(SimilarityMeasure measure,
                      const std::vector<TimedPoint>& a,
                      const std::vector<TimedPoint>& b) {
+  return ExactDistanceBounded(measure, a, b, kUnbounded, true);
+}
+
+double ExactDistanceBounded(SimilarityMeasure measure,
+                            const std::vector<TimedPoint>& a,
+                            const std::vector<TimedPoint>& b, double bound,
+                            bool strict) {
   switch (measure) {
     case SimilarityMeasure::kFrechet:
-      return DiscreteFrechet(a, b);
+      return FrechetBounded(a, b, bound, strict);
     case SimilarityMeasure::kDTW:
-      return DTWDistance(a, b);
+      return DTWBounded(a, b, bound, strict);
     case SimilarityMeasure::kHausdorff:
-      return HausdorffDistance(a, b);
+      return HausdorffBounded(a, b, bound, strict);
   }
   return 1e300;
 }

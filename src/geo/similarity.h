@@ -26,6 +26,18 @@ double ExactDistance(SimilarityMeasure measure,
                      const std::vector<TimedPoint>& a,
                      const std::vector<TimedPoint>& b);
 
+// Exact distance for a caller that rejects any distance past `bound`
+// (d > bound when `strict`, d >= bound otherwise). When the distance is
+// within the bound the result is bit-identical to ExactDistance. Otherwise
+// the computation may stop early and return a value that is past the bound
+// but below the true distance: Fréchet and DTW stop once a whole DP row's
+// minimum is past the bound, Hausdorff once its running maximum is.
+// Empty inputs return 1e300 whatever the bound.
+double ExactDistanceBounded(SimilarityMeasure measure,
+                            const std::vector<TimedPoint>& a,
+                            const std::vector<TimedPoint>& b, double bound,
+                            bool strict);
+
 // Cheap lower bound on the distance between two trajectories given only
 // their MBRs: any matching must bridge the rectangle gap. Valid for all
 // three measures (for DTW it bounds the per-step cost, hence the total from

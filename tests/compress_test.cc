@@ -114,6 +114,98 @@ TEST(GorillaTest, TruncatedInputFailsCleanly) {
   EXPECT_FALSE(dec.Decode(100, &decoded));
 }
 
+uint64_t Bits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+double FromBits(uint64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+// An XOR with exactly `leading` leading zeros and `meaningful` significant
+// bits (its top and bottom window bits set).
+uint64_t XorWindow(int leading, int meaningful) {
+  const int top = 63 - leading;
+  const int bottom = 64 - leading - meaningful;
+  return (uint64_t{1} << top) | (uint64_t{1} << bottom);
+}
+
+// A series that puts every (leading, meaningful) window on the wire, each
+// followed by a value that reuses the window and by a repeat.
+std::vector<double> EveryWindowSeries() {
+  std::vector<double> values;
+  uint64_t bits = 0x405D1A2B3C4D5E6FULL;
+  values.push_back(FromBits(bits));
+  for (int leading = 0; leading < 64; leading++) {
+    for (int meaningful = 1; leading + meaningful <= 64; meaningful++) {
+      bits ^= XorWindow(leading, meaningful);
+      values.push_back(FromBits(bits));
+      bits ^= uint64_t{1} << (63 - leading);  // inside the previous window
+      values.push_back(FromBits(bits));
+      values.push_back(FromBits(bits));  // repeat: a single zero bit
+    }
+  }
+  return values;
+}
+
+std::string EncodeSeries(const std::vector<double>& values) {
+  GorillaEncoder enc;
+  for (double v : values) enc.Add(v);
+  return enc.Finish();
+}
+
+TEST(GorillaTest, RoundTripEveryWindowWidth) {
+  const std::vector<double> values = EveryWindowSeries();
+  const std::string blob = EncodeSeries(values);
+  GorillaDecoder dec(blob.data(), blob.size());
+  std::vector<double> decoded;
+  ASSERT_TRUE(dec.Decode(values.size(), &decoded));
+  ASSERT_EQ(decoded.size(), values.size());
+  for (size_t i = 0; i < values.size(); i++) {
+    // Bit patterns, not doubles: some windows make NaNs.
+    ASSERT_EQ(Bits(decoded[i]), Bits(values[i])) << i;
+  }
+}
+
+TEST(GorillaTest, RoundTripRepeatedValues) {
+  for (double v : {0.0, -0.0, 116.3971, std::numeric_limits<double>::max()}) {
+    const std::vector<double> values(1000, v);
+    const std::string blob = EncodeSeries(values);
+    // 64 bits for the first value, one bit for each repeat.
+    EXPECT_EQ(blob.size(), (64 + 999 + 7) / 8);
+    GorillaDecoder dec(blob.data(), blob.size());
+    std::vector<double> decoded;
+    ASSERT_TRUE(dec.Decode(values.size(), &decoded));
+    for (size_t i = 0; i < values.size(); i++) {
+      ASSERT_EQ(Bits(decoded[i]), Bits(v)) << i;
+    }
+  }
+}
+
+TEST(GorillaTest, TruncatedAtEveryByteFails) {
+  const std::vector<double> values = EveryWindowSeries();
+  const std::string blob = EncodeSeries(values);
+  for (size_t len = 0; len < blob.size(); len++) {
+    // A private copy of exactly `len` bytes, so any read past the end is an
+    // out-of-bounds access under ASan.
+    const std::vector<char> cut(blob.begin(), blob.begin() + len);
+    GorillaDecoder dec(cut.data(), cut.size());
+    std::vector<double> decoded;
+    EXPECT_FALSE(dec.Decode(values.size(), &decoded)) << "length " << len;
+  }
+}
+
+TEST(GorillaTest, CountBeyondStreamFails) {
+  const std::string blob = EncodeSeries({1.0, 2.0});
+  GorillaDecoder dec(blob.data(), blob.size());
+  std::vector<double> decoded;
+  EXPECT_FALSE(dec.Decode(size_t{1} << 40, &decoded));
+}
+
 TEST(DeltaOfDeltaTest, RegularTimestampsCompressToZeros) {
   std::vector<int64_t> ts;
   for (int i = 0; i < 100; i++) ts.push_back(1400000000 + i * 30);
@@ -262,6 +354,51 @@ TEST(TrajCodecTest, CorruptedPayloadFailsCleanly) {
       EXPECT_EQ(decoded.lats.size(), decoded.timestamps.size());
     }
   }
+}
+
+TEST(TrajCodecTest, TruncatedAtEveryByteFails) {
+  PointColumns columns;
+  for (int i = 0; i < 200; i++) {
+    columns.timestamps.push_back(1400000000 + i * 5);
+    columns.lons.push_back(116.3 + i * 1e-5);
+    columns.lats.push_back(39.9 - i * 1e-5);
+  }
+  std::string blob;
+  ASSERT_TRUE(EncodePoints(columns, &blob));
+  for (size_t len = 0; len < blob.size(); len++) {
+    const std::vector<char> cut(blob.begin(), blob.begin() + len);
+    PointColumns decoded;
+    EXPECT_FALSE(DecodePoints(cut.data(), cut.size(), &decoded))
+        << "length " << len;
+  }
+}
+
+TEST(TrajCodecTest, PointDecoderMatchesColumns) {
+  PointColumns columns;
+  Random rnd(5);
+  int64_t t = 1400000000;
+  for (int i = 0; i < 500; i++) {
+    t += static_cast<int64_t>(rnd.Uniform(60));
+    columns.timestamps.push_back(t);
+    columns.lons.push_back(116.3 + rnd.UniformDouble(-0.01, 0.01));
+    columns.lats.push_back(39.9 + rnd.UniformDouble(-0.01, 0.01));
+  }
+  std::string blob;
+  ASSERT_TRUE(EncodePoints(columns, &blob));
+  PointDecoder decoder;
+  ASSERT_TRUE(decoder.Init(blob.data(), blob.size()));
+  ASSERT_EQ(decoder.count(), columns.timestamps.size());
+  for (size_t i = 0; i < decoder.count(); i++) {
+    int64_t ts;
+    double lon, lat;
+    ASSERT_TRUE(decoder.Next(&ts, &lon, &lat));
+    EXPECT_EQ(ts, columns.timestamps[i]);
+    EXPECT_EQ(Bits(lon), Bits(columns.lons[i]));
+    EXPECT_EQ(Bits(lat), Bits(columns.lats[i]));
+  }
+  int64_t ts;
+  double lon, lat;
+  EXPECT_FALSE(decoder.Next(&ts, &lon, &lat));  // past count()
 }
 
 }  // namespace

@@ -369,5 +369,104 @@ TEST(ClusterMultiScanTest, MatchesParallelScan) {
   ASSERT_TRUE(cluster_inst.DropTable("t").ok());
 }
 
+// Windows clamped to a routing boundary borrow the boundary key from the
+// routing snapshot rather than from the query window; both paths must still
+// return exactly the rows inside the windows on each side of every
+// boundary, with an open-ended last window too. A split leaves the moved
+// rows in the source store until compaction, so a window clamped to the
+// wrong end would return them twice.
+TEST(ClusterMultiScanTest, WindowsStraddlingRegionBoundaries) {
+  const std::string dir = TestDir("straddle");
+  kv::Options kv_options;
+  cluster::Cluster cluster_inst(dir, 3, kv_options);
+  ASSERT_TRUE(cluster_inst.CreateTable("t", 4).ok());
+  cluster::ClusterTable* table = cluster_inst.GetTable("t");
+  std::vector<cluster::Row> rows;
+  // A fresh 4-region table splits the key space at one-byte keys 1, 2, 3.
+  for (int first = 0; first < 6; first++) {
+    for (uint32_t i = 0; i < 20; i++) {
+      std::string key(1, static_cast<char>(first));
+      key += Key(i * 100);
+      rows.push_back(cluster::Row{key, "v" + std::to_string(first + i)});
+    }
+  }
+  ASSERT_TRUE(table->BatchPut(rows).ok());
+  ASSERT_TRUE(table->Flush().ok());
+
+  const auto regions = table->GetPerRegionStats();
+  ASSERT_EQ(regions.size(), 4u);
+  // Just below each boundary key.
+  auto below = [](std::string boundary) {
+    EXPECT_FALSE(boundary.empty());
+    EXPECT_NE(boundary.back(), '\0');
+    boundary.back() = static_cast<char>(boundary.back() - 1);
+    return boundary;
+  };
+  std::vector<cluster::KeyRange> ranges;
+  // Starts before the first key and ends inside the second region.
+  ranges.push_back(cluster::KeyRange{"", regions[1].range.start + Key(300)});
+  // Straddles the second boundary.
+  ranges.push_back(cluster::KeyRange{below(regions[1].range.end) + Key(500),
+                                     regions[1].range.end + Key(900)});
+  // Straddles the last boundary and runs to the end of the key space.
+  ranges.push_back(
+      cluster::KeyRange{below(regions[2].range.end) + Key(1500), ""});
+  std::sort(ranges.begin(), ranges.end(),
+            [](const cluster::KeyRange& x, const cluster::KeyRange& y) {
+              return x.start < y.start;
+            });
+  ASSERT_TRUE(
+      table->SplitRegionAt(regions[3].shard, std::string(1, '\x04')).ok());
+
+  EvenValueFilter even;
+  const std::vector<const ScanFilter*> filters = {nullptr, &even};
+  for (const ScanFilter* filter : filters) {
+    std::vector<cluster::Row> via_scan;
+    kv::ScanStats scan_stats, multi_stats;
+    ASSERT_TRUE(
+        table->ParallelScan(ranges, filter, 0, &via_scan, &scan_stats).ok());
+    RecordingSink sink;
+    ASSERT_TRUE(
+        table->MultiScan(ranges, filter, 0, &sink, &multi_stats).ok());
+    std::sort(via_scan.begin(), via_scan.end(),
+              [](const cluster::Row& a, const cluster::Row& b) {
+                return a.key < b.key;
+              });
+    std::sort(sink.rows.begin(), sink.rows.end());
+    // Each window contributes rows on both sides of the boundary it
+    // straddles, so every region serves some of the result.
+    for (const auto& region : regions) {
+      EXPECT_TRUE(std::any_of(via_scan.begin(), via_scan.end(),
+                              [&](const cluster::Row& row) {
+                                return cluster::RangeContains(region.range,
+                                                              row.key);
+                              }))
+          << "region " << region.shard;
+    }
+    std::vector<std::pair<std::string, std::string>> expected;
+    for (const cluster::Row& row : rows) {
+      const bool in_window =
+          std::any_of(ranges.begin(), ranges.end(),
+                      [&](const cluster::KeyRange& range) {
+                        return cluster::RangeContains(range, row.key);
+                      });
+      if (in_window &&
+          (filter == nullptr || filter->Matches(row.key, row.value))) {
+        expected.emplace_back(row.key, row.value);
+      }
+    }
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(sink.rows, expected);
+    ASSERT_EQ(via_scan.size(), sink.rows.size());
+    for (size_t i = 0; i < via_scan.size(); i++) {
+      EXPECT_EQ(via_scan[i].key, sink.rows[i].first);
+      EXPECT_EQ(via_scan[i].value, sink.rows[i].second);
+    }
+    EXPECT_EQ(scan_stats.scanned, multi_stats.scanned);
+    EXPECT_EQ(scan_stats.matched, multi_stats.matched);
+  }
+  ASSERT_TRUE(cluster_inst.DropTable("t").ok());
+}
+
 }  // namespace
 }  // namespace tman::kv

@@ -237,6 +237,59 @@ TEST(PlannerTest, WindowsAreSortedAndCoalesced) {
   }
 }
 
+TEST(CoalesceWindowsTest, MergesOverlappingAndTouchingWindowsInPlace) {
+  std::vector<cluster::KeyRange> windows = {
+      {"m", "p"}, {"a", "c"}, {"b", "d"}, {"d", "f"}, {"n", "o"}, {"x", "z"}};
+  const cluster::KeyRange* storage = windows.data();
+  EXPECT_EQ(CoalesceWindows(&windows), 3u);
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"a", "f"}, {"m", "p"}, {"x", "z"}};
+  ASSERT_EQ(windows.size(), want.size());
+  for (size_t i = 0; i < want.size(); i++) {
+    EXPECT_EQ(windows[i].start, want[i].first) << i;
+    EXPECT_EQ(windows[i].end, want[i].second) << i;
+  }
+  // Merged in the caller's vector, not rebuilt into a second one.
+  EXPECT_EQ(windows.data(), storage);
+}
+
+TEST(CoalesceWindowsTest, UnboundedEndAbsorbsLaterWindows) {
+  std::vector<cluster::KeyRange> windows = {
+      {"k", "l"}, {"c", ""}, {"a", "b"}, {"d", "e"}, {"q", ""}};
+  EXPECT_EQ(CoalesceWindows(&windows), 3u);
+  ASSERT_EQ(windows.size(), 2u);
+  EXPECT_EQ(windows[0].start, "a");
+  EXPECT_EQ(windows[0].end, "b");
+  EXPECT_EQ(windows[1].start, "c");
+  EXPECT_TRUE(windows[1].end.empty());
+
+  // A bounded window extended by an unbounded neighbour becomes unbounded.
+  std::vector<cluster::KeyRange> tail = {{"a", "c"}, {"b", ""}};
+  EXPECT_EQ(CoalesceWindows(&tail), 1u);
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_EQ(tail[0].start, "a");
+  EXPECT_TRUE(tail[0].end.empty());
+}
+
+TEST(CoalesceWindowsTest, DisjointWindowsAreOnlySorted) {
+  std::vector<cluster::KeyRange> windows = {
+      {"g", "h"}, {"a", "b"}, {"x", ""}, {"c", "d"}};
+  EXPECT_EQ(CoalesceWindows(&windows), 0u);
+  const std::vector<std::string> starts = {"a", "c", "g", "x"};
+  ASSERT_EQ(windows.size(), starts.size());
+  for (size_t i = 0; i < starts.size(); i++) {
+    EXPECT_EQ(windows[i].start, starts[i]);
+  }
+  EXPECT_EQ(windows[0].end, "b");
+  EXPECT_TRUE(windows[3].end.empty());
+
+  std::vector<cluster::KeyRange> none;
+  EXPECT_EQ(CoalesceWindows(&none), 0u);
+  std::vector<cluster::KeyRange> one = {{"a", "b"}};
+  EXPECT_EQ(CoalesceWindows(&one), 0u);
+  EXPECT_EQ(one.size(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Pipeline tests: planner + streaming executor against a loaded instance.
 
@@ -403,6 +456,52 @@ TEST_F(PipelineTest, SixQueriesMatchBruteForce) {
       prev = d;
     }
   }
+}
+
+// The widest trajectory's top-k search runs the most expanding-radius
+// rounds and plans the most windows, across all four regions; its answer
+// must still match brute force distance for distance, and so must the
+// threshold query around it.
+TEST_F(PipelineTest, WidestTrajectoryTopKMatchesBruteForce) {
+  TMan* tman = tman_->get();
+  const traj::Trajectory* widest = &(*data_)[0];
+  auto extent = [](const traj::Trajectory& t) {
+    const geo::MBR m = t.ComputeMBR();
+    return std::max(m.max_x - m.min_x, m.max_y - m.min_y);
+  };
+  for (const auto& t : *data_) {
+    if (extent(t) > extent(*widest)) widest = &t;
+  }
+  const auto measure = geo::SimilarityMeasure::kFrechet;
+  std::vector<double> all;
+  for (const auto& t : *data_) {
+    if (t.tid == widest->tid) continue;
+    all.push_back(geo::ExactDistance(measure, widest->points, t.points));
+  }
+  std::sort(all.begin(), all.end());
+
+  const size_t k = 10;
+  std::vector<traj::Trajectory> results;
+  ASSERT_TRUE(tman->TopKSimilarityQuery(*widest, measure, k, &results).ok());
+  ASSERT_EQ(results.size(), k);
+  for (size_t i = 0; i < k; i++) {
+    EXPECT_EQ(geo::ExactDistance(measure, widest->points, results[i].points),
+              all[i])
+        << "rank " << i;
+  }
+
+  const double threshold = all[k - 1];
+  results.clear();
+  ASSERT_TRUE(
+      tman->ThresholdSimilarityQuery(*widest, measure, threshold, &results)
+          .ok());
+  std::set<std::string> expected;
+  for (const auto& t : *data_) {
+    if (geo::ExactDistance(measure, widest->points, t.points) <= threshold) {
+      expected.insert(t.tid);
+    }
+  }
+  EXPECT_EQ(Tids(results), expected);
 }
 
 // The batched MultiScan read path and the per-window fan-out baseline are
