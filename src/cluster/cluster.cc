@@ -53,11 +53,6 @@ kv::ScanWindow ClampWindow(const KeyRange& query, const KeyRange& owned) {
   return out;
 }
 
-KeyRange ClampRange(const KeyRange& query, const KeyRange& owned) {
-  const kv::ScanWindow w = ClampWindow(query, owned);
-  return KeyRange{w.start.ToString(), w.end.ToString()};
-}
-
 std::string HexEncode(const std::string& s) {
   if (s.empty()) return "-";
   static const char* kHex = "0123456789abcdef";
@@ -166,7 +161,7 @@ Status Region::Scan(const KeyRange& range, const kv::ScanFilter* filter,
                    sink, stats);
 }
 
-Status Region::MultiScan(const std::vector<kv::ScanWindow>& windows,
+Status Region::MultiScan(std::span<const kv::ScanWindow> windows,
                          const kv::ScanFilter* filter, size_t limit,
                          kv::RowSink* sink, kv::ScanStats* stats,
                          kv::MultiScanPerf* perf) {
@@ -674,7 +669,7 @@ void BackoffSleep(const RetryPolicy& retry, int attempt) {
 // Whether a mid-stream resume can be expressed by trimming windows: needs
 // sorted, non-overlapping windows (the planner's contract). Unsorted
 // batches only retry from scratch when nothing was delivered yet.
-bool WindowsSortedDisjoint(const std::vector<kv::ScanWindow>& windows) {
+bool WindowsSortedDisjoint(std::span<const kv::ScanWindow> windows) {
   for (size_t i = 1; i < windows.size(); i++) {
     const Slice& prev_end = windows[i - 1].end;
     if (prev_end.empty()) return false;  // previous extends to +inf
@@ -685,192 +680,71 @@ bool WindowsSortedDisjoint(const std::vector<kv::ScanWindow>& windows) {
 
 }  // namespace
 
-Status ClusterTable::ParallelScan(const std::vector<KeyRange>& ranges,
-                                  const kv::ScanFilter* filter, size_t limit,
-                                  kv::RowSink* sink, kv::ScanStats* stats,
-                                  std::vector<RegionScanStat>* breakdown,
-                                  ScanOutcome* outcome) {
-  // One routing snapshot for the whole scan: concurrent splits/merges do
-  // not change which region serves which clamped window mid-flight, and the
-  // entries' shared_ptrs keep even a retired region's store alive.
-  std::shared_ptr<const RoutingTable> routing = Routing();
-  struct Task {
-    Region* region;
-    KeyRange range;  // query range clamped to the entry's routing range
-    kv::ScanStats stats;
-    Status status;
-    int retries = 0;
-    uint64_t wait_micros = 0;  // submit -> pool thread pickup
-    uint64_t scan_micros = 0;  // inside the region scan
-  };
-  std::vector<Task> tasks;
-  for (const KeyRange& range : ranges) {
-    for (const RoutingEntry* e : routing->Intersecting(range)) {
-      // Clamping to the routing range keeps fan-out results disjoint even
-      // while a source region still holds rows that migrated out in a split
-      // (lazy reclamation): those rows sit outside its routing range, so no
-      // clamped window can reach them twice.
-      tasks.push_back(Task{e->region.get(), ClampRange(range, e->range),
-                           {}, Status::OK(), 0, 0, 0});
+struct ClusterTable::ScanTask {
+  Region* region;
+  // A slice of the clamped window list, which lives for the whole scan.
+  std::span<const kv::ScanWindow> windows;
+  kv::ScanStats stats;
+  kv::MultiScanPerf perf;
+  Status status;
+  int retries = 0;
+  uint64_t wait_micros = 0;  // submit -> pool thread pickup
+  uint64_t scan_micros = 0;  // inside the region scan
+};
+
+Status ClusterTable::FanOut(std::vector<ScanTask>* tasks, bool batched,
+                            const kv::ScanFilter* filter, size_t limit,
+                            kv::RowSink* sink, kv::ScanStats* stats,
+                            std::vector<RegionScanStat>* breakdown,
+                            kv::MultiScanPerf* perf, ScanOutcome* outcome) {
+  // Streams `windows` of one task into `into`. A per-window task holds
+  // exactly one window (none once a retry has streamed all of it).
+  auto scan = [batched, filter, limit](ScanTask& task,
+                                       std::span<const kv::ScanWindow> windows,
+                                       kv::RowSink* into) {
+    if (batched) {
+      return task.region->MultiScan(windows, filter, limit, into, &task.stats,
+                                    &task.perf);
     }
-  }
+    Status s;
+    for (const kv::ScanWindow& w : windows) {
+      s = task.region->Scan(KeyRange{w.start.ToString(), w.end.ToString()},
+                            filter, limit, into, &task.stats);
+      if (!s.ok()) break;
+    }
+    return s;
+  };
 
   Stopwatch total;  // read only when metrics are on
   const bool timed = scans_ != nullptr || breakdown != nullptr;
   const RetryPolicy retry = retry_;
   SerializedSink shared(sink);
   std::vector<std::future<void>> futures;
-  futures.reserve(tasks.size());
-  for (Task& task : tasks) {
+  futures.reserve(tasks->size());
+  for (ScanTask& task : *tasks) {
     Stopwatch queued;  // captured by value: starts counting at submit time
     futures.push_back(
-        pool_->Submit([&task, &shared, filter, limit, timed, queued, retry] {
+        pool_->Submit([&task, &shared, &scan, limit, timed, queued, retry] {
           Stopwatch run;
           if (timed) task.wait_micros = queued.ElapsedMicros();
           if (retry.max_retries == 0) {
-            task.status = task.region->Scan(task.range, filter, limit,
-                                            &shared, &task.stats);
+            task.status = scan(task, task.windows, &shared);
           } else {
             ProgressSink progress(&shared);
-            task.status = task.region->Scan(task.range, filter, limit,
-                                            &progress, &task.stats);
-            std::string resume_start;
-            // With a per-range limit, a mid-stream retry cannot know how
-            // many of the delivered rows counted against it, so only
-            // zero-delivery failures retry in that case.
-            while (!task.status.ok() &&
-                   retry.ShouldRetry(task.status, task.retries) &&
-                   (limit == 0 || progress.rows() == 0)) {
-              BackoffSleep(retry, task.retries);
-              task.retries++;
-              KeyRange resumed = task.range;
-              if (progress.rows() > 0) {
-                resume_start = progress.last_key() + '\0';  // key successor
-                resumed.start = resume_start;
-              }
-              task.status = task.region->Scan(resumed, filter, limit,
-                                              &progress, &task.stats);
-            }
-          }
-          if (timed) task.scan_micros = run.ElapsedMicros();
-        }));
-  }
-  for (auto& f : futures) f.get();
-
-  Status result;
-  uint64_t matched = 0;
-  uint64_t failed = 0;
-  uint64_t retries_total = 0;
-  for (Task& task : tasks) {
-    retries_total += task.retries;
-    if (!task.status.ok()) {
-      failed++;
-      if (result.ok()) result = task.status;
-      if (outcome != nullptr) {
-        outcome->region_errors.emplace_back(task.region->id(), task.status);
-      }
-    }
-    if (stats != nullptr) *stats += task.stats;
-    matched += task.stats.matched;
-    if (breakdown != nullptr) {
-      breakdown->push_back(RegionScanStat{
-          task.region->id(), task.stats.scanned, task.stats.matched,
-          static_cast<double>(task.wait_micros) / 1000.0,
-          static_cast<double>(task.scan_micros) / 1000.0});
-    }
-    if (wait_micros_ != nullptr) wait_micros_->Record(task.wait_micros);
-    if (task.stats.scanned > 0) {
-      task.region->NoteRowsScanned(task.stats.scanned);
-    }
-  }
-  if (outcome != nullptr) {
-    outcome->regions_attempted += tasks.size();
-    outcome->regions_failed += failed;
-    outcome->retries += retries_total;
-  }
-  if (region_failures_ != nullptr && failed > 0) region_failures_->Inc(failed);
-  if (region_retries_ != nullptr && retries_total > 0) {
-    region_retries_->Inc(retries_total);
-  }
-  if (scans_ != nullptr) {
-    scans_->Inc();
-    rows_streamed_->Inc(matched);
-    fanout_regions_->Record(tasks.size());
-    scan_micros_->RecordMicros(total.ElapsedMicros());
-  }
-  return result;
-}
-
-Status ClusterTable::MultiScan(const std::vector<KeyRange>& ranges,
-                               const kv::ScanFilter* filter, size_t limit,
-                               kv::RowSink* sink, kv::ScanStats* stats,
-                               std::vector<RegionScanStat>* breakdown,
-                               kv::MultiScanPerf* perf,
-                               ScanOutcome* outcome) {
-  // Group windows by routing entry: one task (and one iterator stack) per
-  // region instead of one per (region, window). Each window is clamped to
-  // its entry's routing range (see ParallelScan). The clamped windows are
-  // slices of `ranges` and of the routing snapshot's entries, both alive
-  // for the whole call, so a wide plan's window list is never copied; the
-  // groups are fully built before the parallel phase starts.
-  std::shared_ptr<const RoutingTable> routing = Routing();
-  const std::vector<RoutingEntry>& entries = routing->entries();
-  std::vector<std::vector<kv::ScanWindow>> grouped(entries.size());
-  for (const KeyRange& range : ranges) {
-    for (const RoutingEntry* e : routing->Intersecting(range)) {
-      const size_t idx = static_cast<size_t>(e - entries.data());
-      grouped[idx].push_back(ClampWindow(range, e->range));
-    }
-  }
-
-  struct Task {
-    Region* region;
-    const std::vector<kv::ScanWindow>* windows;
-    kv::ScanStats stats;
-    kv::MultiScanPerf perf;
-    Status status;
-    int retries = 0;
-    uint64_t wait_micros = 0;  // submit -> pool thread pickup
-    uint64_t scan_micros = 0;  // inside the region batch
-  };
-  std::vector<Task> tasks;
-  for (size_t i = 0; i < entries.size(); i++) {
-    if (grouped[i].empty()) continue;
-    tasks.push_back(Task{entries[i].region.get(), &grouped[i], {}, {},
-                         Status::OK(), 0, 0, 0});
-  }
-
-  Stopwatch total;  // read only when metrics are on
-  const bool timed = scans_ != nullptr || breakdown != nullptr;
-  const RetryPolicy retry = retry_;
-  SerializedSink shared(sink);
-  std::vector<std::future<void>> futures;
-  futures.reserve(tasks.size());
-  for (Task& task : tasks) {
-    Stopwatch queued;  // captured by value: starts counting at submit time
-    futures.push_back(
-        pool_->Submit([&task, &shared, filter, limit, timed, queued, retry] {
-          Stopwatch run;
-          if (timed) task.wait_micros = queued.ElapsedMicros();
-          if (retry.max_retries == 0) {
-            task.status = task.region->MultiScan(*task.windows, filter, limit,
-                                                 &shared, &task.stats,
-                                                 &task.perf);
-          } else {
-            ProgressSink progress(&shared);
-            task.status = task.region->MultiScan(*task.windows, filter, limit,
-                                                 &progress, &task.stats,
-                                                 &task.perf);
-            const bool resumable = WindowsSortedDisjoint(*task.windows);
+            task.status = scan(task, task.windows, &progress);
+            const bool resumable = WindowsSortedDisjoint(task.windows);
             std::string resume_start;
             std::vector<kv::ScanWindow> resumed;
+            // With a per-window limit, a mid-stream retry cannot know how
+            // many of the delivered rows counted against it, so only
+            // zero-delivery failures retry in that case.
             while (!task.status.ok() &&
                    retry.ShouldRetry(task.status, task.retries) &&
                    (limit == 0 || progress.rows() == 0) &&
                    (resumable || progress.rows() == 0)) {
               BackoffSleep(retry, task.retries);
               task.retries++;
-              const std::vector<kv::ScanWindow>* windows = task.windows;
+              std::span<const kv::ScanWindow> windows = task.windows;
               if (progress.rows() > 0) {
                 // Sorted windows: every window ending at or before the last
                 // delivered key's successor is fully streamed; the one
@@ -878,17 +752,15 @@ Status ClusterTable::MultiScan(const std::vector<KeyRange>& ranges,
                 resume_start = progress.last_key() + '\0';  // key successor
                 const Slice resume(resume_start);
                 resumed.clear();
-                for (const kv::ScanWindow& w : *task.windows) {
+                for (const kv::ScanWindow& w : task.windows) {
                   if (!w.end.empty() && w.end.compare(resume) <= 0) continue;
                   kv::ScanWindow trimmed = w;
                   if (trimmed.start.compare(resume) < 0) trimmed.start = resume;
                   resumed.push_back(trimmed);
                 }
-                windows = &resumed;
+                windows = resumed;
               }
-              task.status = task.region->MultiScan(*windows, filter, limit,
-                                                   &progress, &task.stats,
-                                                   &task.perf);
+              task.status = scan(task, windows, &progress);
             }
           }
           if (timed) task.scan_micros = run.ElapsedMicros();
@@ -900,7 +772,7 @@ Status ClusterTable::MultiScan(const std::vector<KeyRange>& ranges,
   uint64_t matched = 0;
   uint64_t failed = 0;
   uint64_t retries_total = 0;
-  for (Task& task : tasks) {
+  for (ScanTask& task : *tasks) {
     retries_total += task.retries;
     if (!task.status.ok()) {
       failed++;
@@ -924,7 +796,7 @@ Status ClusterTable::MultiScan(const std::vector<KeyRange>& ranges,
     }
   }
   if (outcome != nullptr) {
-    outcome->regions_attempted += tasks.size();
+    outcome->regions_attempted += tasks->size();
     outcome->regions_failed += failed;
     outcome->retries += retries_total;
   }
@@ -935,10 +807,70 @@ Status ClusterTable::MultiScan(const std::vector<KeyRange>& ranges,
   if (scans_ != nullptr) {
     scans_->Inc();
     rows_streamed_->Inc(matched);
-    fanout_regions_->Record(tasks.size());
+    fanout_regions_->Record(tasks->size());
     scan_micros_->RecordMicros(total.ElapsedMicros());
   }
   return result;
+}
+
+Status ClusterTable::ParallelScan(const std::vector<KeyRange>& ranges,
+                                  const kv::ScanFilter* filter, size_t limit,
+                                  kv::RowSink* sink, kv::ScanStats* stats,
+                                  std::vector<RegionScanStat>* breakdown,
+                                  ScanOutcome* outcome) {
+  // One routing snapshot for the whole scan: concurrent splits/merges do
+  // not change which region serves which clamped window mid-flight, and the
+  // entries' shared_ptrs keep even a retired region's store alive. One task
+  // per (range, region): each range is clamped to the routing range of
+  // every entry it intersects. Clamping keeps fan-out results disjoint even
+  // while a source region still holds rows that migrated out in a split
+  // (lazy reclamation): those rows sit outside its routing range, so no
+  // clamped window can reach them twice. The clamped windows are slices of
+  // `ranges` and of the snapshot's entries, both alive for the whole call.
+  std::shared_ptr<const RoutingTable> routing = Routing();
+  std::vector<kv::ScanWindow> clamped;
+  std::vector<ScanTask> tasks;
+  for (const KeyRange& range : ranges) {
+    for (const RoutingEntry* e : routing->Intersecting(range)) {
+      clamped.push_back(ClampWindow(range, e->range));
+      tasks.push_back(ScanTask{e->region.get()});
+    }
+  }
+  for (size_t i = 0; i < tasks.size(); i++) {
+    tasks[i].windows = std::span<const kv::ScanWindow>(&clamped[i], 1);
+  }
+  return FanOut(&tasks, /*batched=*/false, filter, limit, sink, stats,
+                breakdown, nullptr, outcome);
+}
+
+Status ClusterTable::MultiScan(const std::vector<KeyRange>& ranges,
+                               const kv::ScanFilter* filter, size_t limit,
+                               kv::RowSink* sink, kv::ScanStats* stats,
+                               std::vector<RegionScanStat>* breakdown,
+                               kv::MultiScanPerf* perf,
+                               ScanOutcome* outcome) {
+  // Group windows by routing entry: one task (and one iterator stack) per
+  // region instead of one per (region, window). Each window is clamped to
+  // its entry's routing range (see ParallelScan), so the groups are slices
+  // of `ranges` and of the routing snapshot's entries and a wide plan's
+  // window list is never copied; the groups are fully built before the
+  // parallel phase starts.
+  std::shared_ptr<const RoutingTable> routing = Routing();
+  const std::vector<RoutingEntry>& entries = routing->entries();
+  std::vector<std::vector<kv::ScanWindow>> grouped(entries.size());
+  for (const KeyRange& range : ranges) {
+    for (const RoutingEntry* e : routing->Intersecting(range)) {
+      const size_t idx = static_cast<size_t>(e - entries.data());
+      grouped[idx].push_back(ClampWindow(range, e->range));
+    }
+  }
+  std::vector<ScanTask> tasks;
+  for (size_t i = 0; i < entries.size(); i++) {
+    if (grouped[i].empty()) continue;
+    tasks.push_back(ScanTask{entries[i].region.get(), grouped[i]});
+  }
+  return FanOut(&tasks, /*batched=*/true, filter, limit, sink, stats,
+                breakdown, perf, outcome);
 }
 
 Status ClusterTable::ScanWithoutPushdown(const std::vector<KeyRange>& ranges,

@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -162,7 +163,7 @@ class Region {
   // Batched scan: all windows run against one iterator stack inside the
   // region store (see kv::DB::MultiScan). Sorted windows advance the
   // cursor monotonically instead of re-seeking per window.
-  Status MultiScan(const std::vector<kv::ScanWindow>& windows,
+  Status MultiScan(std::span<const kv::ScanWindow> windows,
                    const kv::ScanFilter* filter, size_t limit,
                    kv::RowSink* sink, kv::ScanStats* stats,
                    kv::MultiScanPerf* perf);
@@ -448,6 +449,20 @@ class ClusterTable {
   // Atomically persists `table` as the ROUTING manifest (tmp + sync +
   // rename) — the commit point a reopen recovers from.
   Status PersistRouting(const RoutingTable& table);
+
+  // One pool task of a fan-out scan: a region and its clamped windows
+  // (defined in cluster.cc).
+  struct ScanTask;
+
+  // The fan-out body ParallelScan and MultiScan share: runs every task on
+  // the pool (its whole window batch on one iterator stack when `batched`,
+  // else its single window through Region::Scan), retries failed tasks
+  // from just past their last delivered key, then folds stats, breakdown,
+  // read-path perf, outcome and metrics.
+  Status FanOut(std::vector<ScanTask>* tasks, bool batched,
+                const kv::ScanFilter* filter, size_t limit, kv::RowSink* sink,
+                kv::ScanStats* stats, std::vector<RegionScanStat>* breakdown,
+                kv::MultiScanPerf* perf, ScanOutcome* outcome);
 
   // Write-path helper: routes one mutation through the snapshot, applies
   // it, and tees it when it falls into a migrating range.

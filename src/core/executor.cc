@@ -21,20 +21,6 @@ Executor::Executor(cluster::ClusterTable* primary,
   }
 }
 
-Status Executor::RunScan(
-    cluster::ClusterTable* table, const QueryPlan& plan,
-    const kv::ScanFilter* pushed, kv::RowSink* stage,
-    kv::ScanStats* scan_stats,
-    std::vector<cluster::ClusterTable::RegionScanStat>* breakdown,
-    kv::MultiScanPerf* perf, cluster::ScanOutcome* outcome) {
-  if (use_multiscan_) {
-    return table->MultiScan(plan.windows, pushed, 0, stage, scan_stats,
-                            breakdown, perf, outcome);
-  }
-  return table->ParallelScan(plan.windows, pushed, 0, stage, scan_stats,
-                             breakdown, outcome);
-}
-
 Status Executor::ResolveOutcome(Status s, const QueryPlan& plan,
                                 const cluster::ScanOutcome& outcome,
                                 QueryStats* stats) {
@@ -170,9 +156,10 @@ const char* ScanSpanName(PlanTable table) {
 }
 
 // Freezes a finished scan span: summary annotations plus one child per
-// region shard. The breakdown has one entry per (region, window) scan task
-// — potentially thousands for fine-window plans — so tasks are aggregated
-// by shard to keep the rendered tree readable; a shard's duration is the
+// region shard. The breakdown has one entry per scan task: one per region
+// on the batched path, one per (region, window) on the per-window path —
+// potentially thousands for fine-window plans — so tasks are aggregated by
+// shard to keep the rendered tree readable; a shard's duration is the
 // total CPU time its tasks spent scanning (tasks overlap in the pool, so
 // shard durations can exceed the parent's wall time).
 void FinishScanSpan(
@@ -261,29 +248,7 @@ Status Executor::ExecutePrimaryScan(const QueryPlan& plan, kv::RowSink* sink,
   } else if (plan.filter != nullptr) {
     stage = &client_filter;
   }
-  MeterSink meter(rows_streamed_, early_terminations_, stage);
-  if (rows_streamed_ != nullptr) stage = &meter;
-
-  obs::TraceSpan* scan_span =
-      span != nullptr ? span->AddChild(ScanSpanName(plan.scan_table)) : nullptr;
-  std::vector<cluster::ClusterTable::RegionScanStat> breakdown;
-  kv::ScanStats scan_stats;
-  kv::MultiScanPerf perf;
-  cluster::ScanOutcome outcome;
-  Status s = RunScan(Table(plan.scan_table), plan, pushed, stage, &scan_stats,
-                     scan_span != nullptr ? &breakdown : nullptr, &perf,
-                     &outcome);
-  s = ResolveOutcome(std::move(s), plan, outcome, stats);
-  if (scan_span != nullptr) {
-    FinishScanSpan(scan_span, breakdown, scan_stats, plan.windows.size(),
-                   pushed != nullptr, use_multiscan_ ? &perf : nullptr,
-                   outcome, s.ok() && outcome.regions_failed > 0);
-  }
-  if (stats != nullptr) {
-    stats->windows += plan.windows.size();
-    stats->candidates += scan_stats.scanned;
-  }
-  return s;
+  return Scan(plan, pushed, stage, stats, span);
 }
 
 Status Executor::ExecuteSecondaryFetch(const QueryPlan& plan,
@@ -295,32 +260,43 @@ Status Executor::ExecuteSecondaryFetch(const QueryPlan& plan,
   // The secondary scan is unfiltered; the filter chain applies to the
   // fetched primary rows (their values carry the trajectory record).
   FetchPrimarySink fetch(primary_, plan.filter.get(), stage, stats);
-  kv::RowSink* scan_stage = &fetch;
-  MeterSink meter(rows_streamed_, early_terminations_, scan_stage);
-  if (rows_streamed_ != nullptr) scan_stage = &meter;
+  Status s = Scan(plan, nullptr, &fetch, stats, span);
+  // Fetch-stage errors (primary Get failures) are the sink's own; degraded
+  // mode covers region scan tasks, not the point-fetch path.
+  if (s.ok()) s = fetch.status();
+  return s;
+}
+
+Status Executor::Scan(const QueryPlan& plan, const kv::ScanFilter* pushed,
+                      kv::RowSink* stage, QueryStats* stats,
+                      obs::TraceSpan* span) {
+  MeterSink meter(rows_streamed_, early_terminations_, stage);
+  if (rows_streamed_ != nullptr) stage = &meter;
 
   obs::TraceSpan* scan_span =
       span != nullptr ? span->AddChild(ScanSpanName(plan.scan_table)) : nullptr;
   std::vector<cluster::ClusterTable::RegionScanStat> breakdown;
+  std::vector<cluster::ClusterTable::RegionScanStat>* traced =
+      scan_span != nullptr ? &breakdown : nullptr;
   kv::ScanStats scan_stats;
   kv::MultiScanPerf perf;
   cluster::ScanOutcome outcome;
-  Status s = RunScan(Table(plan.scan_table), plan, nullptr, scan_stage,
-                     &scan_stats, scan_span != nullptr ? &breakdown : nullptr,
-                     &perf, &outcome);
+  cluster::ClusterTable* table = Table(plan.scan_table);
+  Status s = use_multiscan_
+                 ? table->MultiScan(plan.windows, pushed, 0, stage, &scan_stats,
+                                    traced, &perf, &outcome)
+                 : table->ParallelScan(plan.windows, pushed, 0, stage,
+                                       &scan_stats, traced, &outcome);
   s = ResolveOutcome(std::move(s), plan, outcome, stats);
   if (scan_span != nullptr) {
     FinishScanSpan(scan_span, breakdown, scan_stats, plan.windows.size(),
-                   false, use_multiscan_ ? &perf : nullptr, outcome,
-                   s.ok() && outcome.regions_failed > 0);
+                   pushed != nullptr, use_multiscan_ ? &perf : nullptr,
+                   outcome, s.ok() && outcome.regions_failed > 0);
   }
   if (stats != nullptr) {
     stats->windows += plan.windows.size();
     stats->candidates += scan_stats.scanned;
   }
-  // Fetch-stage errors (primary Get failures) are the sink's own; degraded
-  // mode covers region scan tasks, not the point-fetch path.
-  if (s.ok()) s = fetch.status();
   return s;
 }
 

@@ -55,13 +55,12 @@ class Executor {
                             QueryStats* stats, obs::TraceSpan* span);
   Status ExecuteSecondaryFetch(const QueryPlan& plan, kv::RowSink* sink,
                                QueryStats* stats, obs::TraceSpan* span);
-  // Dispatches the plan's window batch to MultiScan or ParallelScan
-  // depending on use_multiscan_; `perf` is filled only on the batched path.
-  Status RunScan(cluster::ClusterTable* table, const QueryPlan& plan,
-                 const kv::ScanFilter* pushed, kv::RowSink* stage,
-                 kv::ScanStats* scan_stats,
-                 std::vector<cluster::ClusterTable::RegionScanStat>* breakdown,
-                 kv::MultiScanPerf* perf, cluster::ScanOutcome* outcome);
+  // The scan-and-account step both plan kinds share: meters `stage`, runs
+  // the plan's windows through MultiScan or ParallelScan (per
+  // use_multiscan_), resolves region failures, freezes the scan span and
+  // adds windows/candidates to `stats`.
+  Status Scan(const QueryPlan& plan, const kv::ScanFilter* pushed,
+              kv::RowSink* stage, QueryStats* stats, obs::TraceSpan* span);
   // Folds a scan's per-region failure accounting into the query result:
   // retries/regions_failed accumulate into `stats`, and when the plan
   // allows degraded execution and a strict subset of regions failed, the

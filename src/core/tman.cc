@@ -53,9 +53,15 @@ std::shared_ptr<obs::TraceSpan> TMan::MaybeTraceRoot(const QueryOptions& qopts,
   return nullptr;
 }
 
-void TMan::FinishTrace(const QueryOptions& qopts,
-                       std::shared_ptr<obs::TraceSpan> root, QueryStats* stats,
-                       const Stopwatch& total) {
+void TMan::FinishQuery(obs::Histogram* latency, uint64_t results,
+                       std::shared_ptr<obs::TraceSpan> root,
+                       const Stopwatch& total, QueryStats* stats,
+                       const QueryOptions& qopts) {
+  if (stats != nullptr) {
+    stats->results += results;
+    stats->execution_ms += total.ElapsedMillis();
+  }
+  if (latency != nullptr) latency->RecordMicros(total.ElapsedMicros());
   if (root == nullptr) return;
   root->End();
   if (stats != nullptr) {
@@ -621,8 +627,9 @@ StorageStats TMan::GetStorageStats() {
 }
 
 // ---------------------------------------------------------------------------
-// Queries: thin plan -> execute -> stats entry points. Window generation and
-// RBO/CBO branching live in QueryPlanner; row flow lives in Executor.
+// Queries: every entry point is a planner call plus a sink handed to
+// RunQuery. Window generation and RBO/CBO branching live in QueryPlanner;
+// row flow lives in Executor.
 
 void TMan::MergePlanningStats(const QueryPlan& plan, const Stopwatch& planning,
                               QueryStats* stats) {
@@ -635,72 +642,75 @@ void TMan::MergePlanningStats(const QueryPlan& plan, const Stopwatch& planning,
   stats->windows_coalesced += plan.windows_coalesced;
 }
 
-Status TMan::TemporalRangeQuery(int64_t ts, int64_t te,
-                                std::vector<traj::Trajectory>* out,
-                                QueryStats* stats, const QueryOptions& qopts) {
-  Stopwatch total;
-  auto root = MaybeTraceRoot(qopts, stats, "TemporalRangeQuery");
+Status TMan::PlanAndExecute(obs::TraceSpan* parent, const PlanFn& plan_fn,
+                            kv::RowSink* sink, const FinishFn& finish,
+                            uint64_t* results, QueryStats* stats,
+                            const QueryOptions& qopts) {
   obs::TraceSpan* plan_span =
-      root != nullptr ? root->AddChild("planning") : nullptr;
+      parent != nullptr ? parent->AddChild("planning") : nullptr;
   Stopwatch planning;
   QueryPlan plan;
-  Status s = planner_->PlanTemporalRange(ts, te, &plan);
+  Status s = plan_fn(&plan);
   if (!s.ok()) return s;
   plan.allow_degraded = qopts.allow_degraded;
   FinishPlanningSpan(plan_span, plan);
   MergePlanningStats(plan, planning, stats);
 
   obs::TraceSpan* exec_span =
-      root != nullptr ? root->AddChild("execute") : nullptr;
-  DecodeTrajectoriesSink sink(out);
-  s = executor_->Execute(plan, &sink, stats, exec_span);
-  if (s.ok()) s = sink.status();
+      parent != nullptr ? parent->AddChild("execute") : nullptr;
+  s = executor_->Execute(plan, sink, stats, exec_span);
+  if (exec_span != nullptr) exec_span->End();
+  if (s.ok() && finish) s = finish(exec_span, results);
+  return s;
+}
+
+Status TMan::RunQuery(const char* name, obs::Histogram* latency,
+                      const PlanFn& plan, kv::RowSink* sink,
+                      const FinishFn& finish, QueryStats* stats,
+                      const QueryOptions& qopts) {
+  Stopwatch total;
+  auto root = MaybeTraceRoot(qopts, stats, name);
+  uint64_t results = 0;
+  Status s = PlanAndExecute(root.get(), plan, sink, finish, &results, stats,
+                            qopts);
   if (!s.ok()) return s;
-  if (exec_span != nullptr) {
-    exec_span->End();
-    exec_span->Annotate("rows_decoded", static_cast<double>(sink.accepted()));
-  }
-  if (stats != nullptr) {
-    stats->results += sink.accepted();
-    stats->execution_ms += total.ElapsedMillis();
-  }
-  RecordQueryLatency(q_temporal_micros_, total);
-  FinishTrace(qopts, std::move(root), stats, total);
+  FinishQuery(latency, results, std::move(root), total, stats, qopts);
   return Status::OK();
+}
+
+Status TMan::RunDecodeQuery(const char* name, obs::Histogram* latency,
+                            const PlanFn& plan,
+                            std::vector<traj::Trajectory>* out,
+                            QueryStats* stats, const QueryOptions& qopts) {
+  DecodeTrajectoriesSink sink(out);
+  return RunQuery(
+      name, latency, plan, &sink,
+      [&sink](obs::TraceSpan* exec_span, uint64_t* results) {
+        *results = sink.accepted();
+        if (exec_span != nullptr) {
+          exec_span->Annotate("rows_decoded", static_cast<double>(*results));
+        }
+        return sink.status();
+      },
+      stats, qopts);
+}
+
+Status TMan::TemporalRangeQuery(int64_t ts, int64_t te,
+                                std::vector<traj::Trajectory>* out,
+                                QueryStats* stats, const QueryOptions& qopts) {
+  return RunDecodeQuery(
+      "TemporalRangeQuery", q_temporal_micros_,
+      [&](QueryPlan* plan) { return planner_->PlanTemporalRange(ts, te, plan); },
+      out, stats, qopts);
 }
 
 Status TMan::SpatialRangeQuery(const geo::MBR& rect,
                                std::vector<traj::Trajectory>* out,
                                QueryStats* stats, const QueryOptions& qopts) {
-  Stopwatch total;
-  auto root = MaybeTraceRoot(qopts, stats, "SpatialRangeQuery");
-  obs::TraceSpan* plan_span =
-      root != nullptr ? root->AddChild("planning") : nullptr;
-  Stopwatch planning;
-  QueryPlan plan;
-  Status s = planner_->PlanSpatialRange(rect, &plan);
-  if (!s.ok()) return s;
-  plan.allow_degraded = qopts.allow_degraded;
-  FinishPlanningSpan(plan_span, plan);
-  MergePlanningStats(plan, planning, stats);
-
-  obs::TraceSpan* exec_span =
-      root != nullptr ? root->AddChild("execute") : nullptr;
-  DecodeTrajectoriesSink sink(out);
-  s = executor_->Execute(plan, &sink, stats, exec_span);
-  if (s.ok()) s = sink.status();
-  if (!s.ok()) return s;
-  if (exec_span != nullptr) {
-    exec_span->End();
-    exec_span->Annotate("rows_decoded", static_cast<double>(sink.accepted()));
-  }
-  if (stats != nullptr) {
-    stats->results += sink.accepted();
-    stats->execution_ms += total.ElapsedMillis();
-  }
-  RecordQueryLatency(q_spatial_micros_, total);
-  FinishTrace(qopts, std::move(root), stats, total);
-  return Status::OK();
+  return RunDecodeQuery(
+      "SpatialRangeQuery", q_spatial_micros_,
+      [&](QueryPlan* plan) { return planner_->PlanSpatialRange(rect, plan); },
+      out, stats, qopts);
 }
 
 Status TMan::SpatioTemporalRangeQuery(const geo::MBR& rect, int64_t ts,
@@ -708,69 +718,23 @@ Status TMan::SpatioTemporalRangeQuery(const geo::MBR& rect, int64_t ts,
                                       std::vector<traj::Trajectory>* out,
                                       QueryStats* stats,
                                       const QueryOptions& qopts) {
-  Stopwatch total;
-  auto root = MaybeTraceRoot(qopts, stats, "SpatioTemporalRangeQuery");
-  obs::TraceSpan* plan_span =
-      root != nullptr ? root->AddChild("planning") : nullptr;
-  Stopwatch planning;
-  QueryPlan plan;
-  Status s = planner_->PlanSpatioTemporalRange(rect, ts, te, &plan);
-  if (!s.ok()) return s;
-  plan.allow_degraded = qopts.allow_degraded;
-  FinishPlanningSpan(plan_span, plan);
-  MergePlanningStats(plan, planning, stats);
-
-  obs::TraceSpan* exec_span =
-      root != nullptr ? root->AddChild("execute") : nullptr;
-  DecodeTrajectoriesSink sink(out);
-  s = executor_->Execute(plan, &sink, stats, exec_span);
-  if (s.ok()) s = sink.status();
-  if (!s.ok()) return s;
-  if (exec_span != nullptr) {
-    exec_span->End();
-    exec_span->Annotate("rows_decoded", static_cast<double>(sink.accepted()));
-  }
-  if (stats != nullptr) {
-    stats->results += sink.accepted();
-    stats->execution_ms += total.ElapsedMillis();
-  }
-  RecordQueryLatency(q_st_micros_, total);
-  FinishTrace(qopts, std::move(root), stats, total);
-  return Status::OK();
+  return RunDecodeQuery(
+      "SpatioTemporalRangeQuery", q_st_micros_,
+      [&](QueryPlan* plan) {
+        return planner_->PlanSpatioTemporalRange(rect, ts, te, plan);
+      },
+      out, stats, qopts);
 }
 
 Status TMan::IDTemporalQuery(const std::string& oid, int64_t ts, int64_t te,
                              std::vector<traj::Trajectory>* out,
                              QueryStats* stats, const QueryOptions& qopts) {
-  Stopwatch total;
-  auto root = MaybeTraceRoot(qopts, stats, "IDTemporalQuery");
-  obs::TraceSpan* plan_span =
-      root != nullptr ? root->AddChild("planning") : nullptr;
-  Stopwatch planning;
-  QueryPlan plan;
-  Status s = planner_->PlanIDTemporal(oid, ts, te, &plan);
-  if (!s.ok()) return s;
-  plan.allow_degraded = qopts.allow_degraded;
-  FinishPlanningSpan(plan_span, plan);
-  MergePlanningStats(plan, planning, stats);
-
-  obs::TraceSpan* exec_span =
-      root != nullptr ? root->AddChild("execute") : nullptr;
-  DecodeTrajectoriesSink sink(out);
-  s = executor_->Execute(plan, &sink, stats, exec_span);
-  if (s.ok()) s = sink.status();
-  if (!s.ok()) return s;
-  if (exec_span != nullptr) {
-    exec_span->End();
-    exec_span->Annotate("rows_decoded", static_cast<double>(sink.accepted()));
-  }
-  if (stats != nullptr) {
-    stats->results += sink.accepted();
-    stats->execution_ms += total.ElapsedMillis();
-  }
-  RecordQueryLatency(q_idt_micros_, total);
-  FinishTrace(qopts, std::move(root), stats, total);
-  return Status::OK();
+  return RunDecodeQuery(
+      "IDTemporalQuery", q_idt_micros_,
+      [&](QueryPlan* plan) {
+        return planner_->PlanIDTemporal(oid, ts, te, plan);
+      },
+      out, stats, qopts);
 }
 
 Status TMan::ThresholdSimilarityQuery(const traj::Trajectory& query,
@@ -779,50 +743,35 @@ Status TMan::ThresholdSimilarityQuery(const traj::Trajectory& query,
                                       std::vector<traj::Trajectory>* out,
                                       QueryStats* stats,
                                       const QueryOptions& qopts) {
-  Stopwatch total;
-  auto root = MaybeTraceRoot(qopts, stats, "ThresholdSimilarityQuery");
-  geo::DPFeatures query_features =
-      geo::ExtractDPFeatures(query.points, options_.max_dp_features);
-
   // Global pruning via the spatial index plus the pushed-down similarity
   // filter (MBR + DP-feature lower bounds evaluated in the storage layer,
   // §V-G): only rows that could be within the threshold stream to the
   // exact verification sink.
-  obs::TraceSpan* plan_span =
-      root != nullptr ? root->AddChild("planning") : nullptr;
-  Stopwatch planning;
-  QueryPlan plan;
-  Status s = planner_->PlanSimilarityCandidates(
-      query.ComputeMBR(), threshold,
-      std::make_unique<SimilarityFilter>(query_features, threshold),
-      "similarity:threshold", &plan);
-  if (!s.ok()) return s;
-  plan.allow_degraded = qopts.allow_degraded;
-  FinishPlanningSpan(plan_span, plan);
-  MergePlanningStats(plan, planning, stats);
-
-  obs::TraceSpan* exec_span =
-      root != nullptr ? root->AddChild("execute") : nullptr;
+  const geo::DPFeatures query_features =
+      geo::ExtractDPFeatures(query.points, options_.max_dp_features);
   ThresholdVerifySink sink(&query, measure, threshold, out, stats);
-  s = executor_->Execute(plan, &sink, stats, exec_span);
-  if (s.ok()) s = sink.status();
-  if (!s.ok()) return s;
-  if (exec_span != nullptr) {
-    exec_span->End();
-    exec_span->Annotate("verified", static_cast<double>(sink.accepted()));
-    exec_span->Annotate(
-        "exact_distance_computations",
-        stats != nullptr
-            ? static_cast<double>(stats->exact_distance_computations)
-            : 0.0);
-  }
-  if (stats != nullptr) {
-    stats->results += sink.accepted();
-    stats->execution_ms += total.ElapsedMillis();
-  }
-  RecordQueryLatency(q_sim_threshold_micros_, total);
-  FinishTrace(qopts, std::move(root), stats, total);
-  return Status::OK();
+  return RunQuery(
+      "ThresholdSimilarityQuery", q_sim_threshold_micros_,
+      [&](QueryPlan* plan) {
+        return planner_->PlanSimilarityCandidates(
+            query.ComputeMBR(), threshold,
+            std::make_unique<SimilarityFilter>(query_features, threshold),
+            "similarity:threshold", plan);
+      },
+      &sink,
+      [&sink, stats](obs::TraceSpan* exec_span, uint64_t* results) {
+        *results = sink.accepted();
+        if (exec_span != nullptr) {
+          exec_span->Annotate("verified", static_cast<double>(*results));
+          exec_span->Annotate(
+              "exact_distance_computations",
+              stats != nullptr
+                  ? static_cast<double>(stats->exact_distance_computations)
+                  : 0.0);
+        }
+        return sink.status();
+      },
+      stats, qopts);
 }
 
 Status TMan::TopKSimilarityQuery(const traj::Trajectory& query,
@@ -830,13 +779,8 @@ Status TMan::TopKSimilarityQuery(const traj::Trajectory& query,
                                  std::vector<traj::Trajectory>* out,
                                  QueryStats* stats,
                                  const QueryOptions& qopts) {
-  Stopwatch total;
-  if (options_.primary != PrimaryIndexKind::kSpatial) {
-    return Status::NotSupported(
-        "similarity queries require a spatial primary index");
-  }
   if (k == 0) return Status::OK();
-
+  Stopwatch total;
   auto root = MaybeTraceRoot(qopts, stats, "TopKSimilarityQuery");
   const geo::MBR qmbr = query.ComputeMBR();
   TopKSink sink(&query, measure, k,
@@ -854,28 +798,20 @@ Status TMan::TopKSimilarityQuery(const traj::Trajectory& query,
     obs::TraceSpan* round_span =
         root != nullptr ? root->AddChild("round " + std::to_string(round))
                         : nullptr;
-    obs::TraceSpan* plan_span =
-        round_span != nullptr ? round_span->AddChild("planning") : nullptr;
-    Stopwatch planning;
-    QueryPlan plan;
-    Status s = planner_->PlanSimilarityCandidates(
-        qmbr, radius, std::make_unique<MBRDistanceFilter>(qmbr, radius),
-        "similarity:topk", &plan);
-    if (!s.ok()) return s;
-    plan.allow_degraded = qopts.allow_degraded;
-    FinishPlanningSpan(plan_span, plan);
-    MergePlanningStats(plan, planning, stats);
-
     // Rows the sink has not seen yet all lie beyond the previous radius
     // (smaller windows were scanned to completion, and rows rejected by
     // this round's MBR filter are farther than `radius`), so once the
     // heap's k-th bound drops to the previous radius the sink terminates
     // the scan mid-round instead of draining every window.
     sink.set_cutoff(previous_radius);
-    obs::TraceSpan* exec_span =
-        round_span != nullptr ? round_span->AddChild("execute") : nullptr;
-    s = executor_->Execute(plan, &sink, stats, exec_span);
-    if (exec_span != nullptr) exec_span->End();
+    Status s = PlanAndExecute(
+        round_span,
+        [&](QueryPlan* plan) {
+          return planner_->PlanSimilarityCandidates(
+              qmbr, radius, std::make_unique<MBRDistanceFilter>(qmbr, radius),
+              "similarity:topk", plan);
+        },
+        &sink, nullptr, nullptr, stats, qopts);
     if (round_span != nullptr) {
       round_span->End();
       round_span->Annotate("radius", radius);
@@ -894,142 +830,75 @@ Status TMan::TopKSimilarityQuery(const traj::Trajectory& query,
   }
 
   std::vector<traj::Trajectory> results = sink.TakeResults();
-  if (stats != nullptr) {
-    stats->results += results.size();
-    stats->execution_ms += total.ElapsedMillis();
-  }
   out->reserve(out->size() + results.size());
   std::move(results.begin(), results.end(), std::back_inserter(*out));
-  RecordQueryLatency(q_sim_topk_micros_, total);
-  FinishTrace(qopts, std::move(root), stats, total);
+  FinishQuery(q_sim_topk_micros_, results.size(), std::move(root), total,
+              stats, qopts);
   return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
 // Count queries: the row query's plan runs with its filter chain wrapped in
-// a CountingFilter, so matches are counted inside the storage layer and no
-// rows are shipped back.
+// a CountingFilter, so matches are counted inside the storage layer (or, on
+// secondary-fetch plans, on the fetched primary rows) and no rows are
+// shipped back.
 
-Status TMan::ExecuteCount(QueryPlan plan, const std::string& count_plan_name,
-                          uint64_t* count, QueryStats* stats,
-                          obs::TraceSpan* span) {
-  const kv::ScanFilter* inner = plan.filter.get();
-  auto counting = std::make_unique<CountingFilter>(inner, std::move(plan.filter));
-  CountingFilter* counter = counting.get();
-  plan.filter = std::move(counting);
-
+Status TMan::ExecuteCount(const char* name, const char* count_plan,
+                          const PlanFn& plan_fn, uint64_t* count,
+                          QueryStats* stats, const QueryOptions& qopts) {
+  *count = 0;
+  const CountingFilter* counter = nullptr;
   NullSink sink;
-  Status s = executor_->Execute(plan, &sink, stats, span);
-  *count = counter->count();
-  if (span != nullptr) {
-    span->End();
-    span->Annotate("count", static_cast<double>(*count));
-  }
-  if (stats != nullptr) stats->plan = count_plan_name;
-  return s;
+  return RunQuery(
+      name, q_count_micros_,
+      [&](QueryPlan* plan) {
+        Status s = plan_fn(plan);
+        if (!s.ok()) return s;
+        const kv::ScanFilter* inner = plan->filter.get();
+        auto counting =
+            std::make_unique<CountingFilter>(inner, std::move(plan->filter));
+        counter = counting.get();
+        plan->filter = std::move(counting);
+        return Status::OK();
+      },
+      &sink,
+      [&](obs::TraceSpan* exec_span, uint64_t* results) {
+        *count = *results = counter->count();
+        if (exec_span != nullptr) {
+          exec_span->Annotate("count", static_cast<double>(*count));
+        }
+        if (stats != nullptr) stats->plan = count_plan;
+        return Status::OK();
+      },
+      stats, qopts);
 }
 
 Status TMan::TemporalRangeCount(int64_t ts, int64_t te, uint64_t* count,
                                 QueryStats* stats, const QueryOptions& qopts) {
-  Stopwatch total;
-  *count = 0;
-  auto root = MaybeTraceRoot(qopts, stats, "TemporalRangeCount");
-  obs::TraceSpan* plan_span =
-      root != nullptr ? root->AddChild("planning") : nullptr;
-  Stopwatch planning;
-  QueryPlan plan;
-  Status s = planner_->PlanTemporalRange(ts, te, &plan);
-  if (!s.ok()) return s;
-  plan.allow_degraded = qopts.allow_degraded;
-
-  if (plan.kind == PlanKind::kPrimaryScan) {
-    FinishPlanningSpan(plan_span, plan);
-    MergePlanningStats(plan, planning, stats);
-    obs::TraceSpan* exec_span =
-        root != nullptr ? root->AddChild("execute") : nullptr;
-    s = ExecuteCount(std::move(plan), "count:temporal", count, stats,
-                     exec_span);
-  } else {
-    // Through the secondary: count distinct matching primary rows. The
-    // sub-query owns this path's trace tree.
-    root.reset();
-    std::vector<traj::Trajectory> out;
-    QueryStats sub;
-    s = TemporalRangeQuery(ts, te, &out, &sub, qopts);
-    *count = out.size();
-    if (stats != nullptr) {
-      stats->windows += sub.windows;
-      stats->index_values += sub.index_values;
-      stats->candidates += sub.candidates;
-      stats->elements_visited += sub.elements_visited;
-      stats->shapes_checked += sub.shapes_checked;
-      stats->planning_ms += sub.planning_ms;
-      stats->plan = "count:temporal";
-      stats->trace = std::move(sub.trace);
-    }
-  }
-  if (stats != nullptr) {
-    stats->results = *count;
-    stats->execution_ms += total.ElapsedMillis();
-  }
-  RecordQueryLatency(q_count_micros_, total);
-  FinishTrace(qopts, std::move(root), stats, total);
-  return s;
+  return ExecuteCount(
+      "TemporalRangeCount", "count:temporal",
+      [&](QueryPlan* plan) { return planner_->PlanTemporalRange(ts, te, plan); },
+      count, stats, qopts);
 }
 
 Status TMan::SpatialRangeCount(const geo::MBR& rect, uint64_t* count,
                                QueryStats* stats, const QueryOptions& qopts) {
-  Stopwatch total;
-  *count = 0;
-  auto root = MaybeTraceRoot(qopts, stats, "SpatialRangeCount");
-  obs::TraceSpan* plan_span =
-      root != nullptr ? root->AddChild("planning") : nullptr;
-  Stopwatch planning;
-  QueryPlan plan;
-  Status s = planner_->PlanSpatialRange(rect, &plan);
-  if (!s.ok()) return s;
-  plan.allow_degraded = qopts.allow_degraded;
-  FinishPlanningSpan(plan_span, plan);
-  MergePlanningStats(plan, planning, stats);
-  obs::TraceSpan* exec_span =
-      root != nullptr ? root->AddChild("execute") : nullptr;
-  s = ExecuteCount(std::move(plan), "count:spatial", count, stats, exec_span);
-  if (stats != nullptr) {
-    stats->results = *count;
-    stats->execution_ms += total.ElapsedMillis();
-  }
-  RecordQueryLatency(q_count_micros_, total);
-  FinishTrace(qopts, std::move(root), stats, total);
-  return s;
+  return ExecuteCount(
+      "SpatialRangeCount", "count:spatial",
+      [&](QueryPlan* plan) { return planner_->PlanSpatialRange(rect, plan); },
+      count, stats, qopts);
 }
 
 Status TMan::SpatioTemporalRangeCount(const geo::MBR& rect, int64_t ts,
                                       int64_t te, uint64_t* count,
                                       QueryStats* stats,
                                       const QueryOptions& qopts) {
-  Stopwatch total;
-  *count = 0;
-  auto root = MaybeTraceRoot(qopts, stats, "SpatioTemporalRangeCount");
-  obs::TraceSpan* plan_span =
-      root != nullptr ? root->AddChild("planning") : nullptr;
-  Stopwatch planning;
-  QueryPlan plan;
-  Status s = planner_->PlanSpatioTemporalRange(rect, ts, te, &plan);
-  if (!s.ok()) return s;
-  plan.allow_degraded = qopts.allow_degraded;
-  FinishPlanningSpan(plan_span, plan);
-  MergePlanningStats(plan, planning, stats);
-  obs::TraceSpan* exec_span =
-      root != nullptr ? root->AddChild("execute") : nullptr;
-  s = ExecuteCount(std::move(plan), "count:spatio-temporal", count, stats,
-                   exec_span);
-  if (stats != nullptr) {
-    stats->results = *count;
-    stats->execution_ms += total.ElapsedMillis();
-  }
-  RecordQueryLatency(q_count_micros_, total);
-  FinishTrace(qopts, std::move(root), stats, total);
-  return s;
+  return ExecuteCount(
+      "SpatioTemporalRangeCount", "count:spatio-temporal",
+      [&](QueryPlan* plan) {
+        return planner_->PlanSpatioTemporalRange(rect, ts, te, plan);
+      },
+      count, stats, qopts);
 }
 
 uint64_t TMan::StorageBytes() {

@@ -2,6 +2,7 @@
 #define TMAN_CORE_TMAN_H_
 
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -197,18 +198,41 @@ class TMan {
   static void MergePlanningStats(const QueryPlan& plan,
                                  const Stopwatch& planning, QueryStats* stats);
 
-  // Runs a count plan: the filter chain is wrapped in a CountingFilter so
-  // the storage layer counts matches and ships nothing back.
-  Status ExecuteCount(QueryPlan plan, const std::string& count_plan_name,
-                      uint64_t* count, QueryStats* stats,
-                      obs::TraceSpan* span = nullptr);
+  // Fills a plan: one planner call.
+  using PlanFn = std::function<Status(QueryPlan*)>;
+  // Runs after a successful execution, while the plan is still alive:
+  // surfaces the sink's own error, annotates the ended execute span (null
+  // when untraced) and reports the query's result count.
+  using FinishFn =
+      std::function<Status(obs::TraceSpan* exec_span, uint64_t* results)>;
 
-  // Records one finished query into its per-type latency histogram
-  // ("tman_core_query_micros{type=...}"); null handle = metrics off.
-  static void RecordQueryLatency(obs::Histogram* histogram,
-                                 const Stopwatch& total) {
-    if (histogram != nullptr) histogram->RecordMicros(total.ElapsedMicros());
-  }
+  // Plans under a "planning" child of `parent`, folds the plan into
+  // `stats`, then streams it into `sink` under an "execute" child (no
+  // spans when `parent` is null) and calls `finish` when one is given.
+  Status PlanAndExecute(obs::TraceSpan* parent, const PlanFn& plan,
+                        kv::RowSink* sink, const FinishFn& finish,
+                        uint64_t* results, QueryStats* stats,
+                        const QueryOptions& qopts);
+
+  // The one query pipeline: root span `name` -> PlanAndExecute -> stats ->
+  // per-type latency histogram -> trace. Every single-plan query entry
+  // point is a call of this; top-k runs PlanAndExecute once per round.
+  Status RunQuery(const char* name, obs::Histogram* latency,
+                  const PlanFn& plan, kv::RowSink* sink,
+                  const FinishFn& finish, QueryStats* stats,
+                  const QueryOptions& qopts);
+
+  // RunQuery for the range queries: rows decode into `out`.
+  Status RunDecodeQuery(const char* name, obs::Histogram* latency,
+                        const PlanFn& plan, std::vector<traj::Trajectory>* out,
+                        QueryStats* stats, const QueryOptions& qopts);
+
+  // RunQuery for the counts: the plan's filter chain is wrapped in a
+  // CountingFilter so matches are counted where the filter runs and no row
+  // reaches the sink; `count_plan` replaces the plan string in `stats`.
+  Status ExecuteCount(const char* name, const char* count_plan,
+                      const PlanFn& plan, uint64_t* count, QueryStats* stats,
+                      const QueryOptions& qopts);
 
   // Re-encode pass over elements with buffered shapes (§IV-C).
   Status ReencodeBufferedElements();
@@ -220,12 +244,16 @@ class TMan {
                                                  const QueryStats* stats,
                                                  const char* name) const;
 
-  // Ends the root, mirrors the final QueryStats onto it, captures it into
-  // the slow-query ring when the query ran past the threshold, and hands
-  // the tree to the caller via stats->trace when tracing was requested.
-  void FinishTrace(const QueryOptions& qopts,
-                   std::shared_ptr<obs::TraceSpan> root, QueryStats* stats,
-                   const Stopwatch& total);
+  // Adds the result count and elapsed time to `stats`, records the query
+  // into its per-type latency histogram ("tman_core_query_micros{type=...}",
+  // null = metrics off), then ends the root, mirrors the final QueryStats
+  // onto it, captures it into the slow-query ring when the query ran past
+  // the threshold, and hands the tree to the caller via stats->trace when
+  // tracing was requested.
+  void FinishQuery(obs::Histogram* latency, uint64_t results,
+                   std::shared_ptr<obs::TraceSpan> root,
+                   const Stopwatch& total, QueryStats* stats,
+                   const QueryOptions& qopts);
 
   // Background reporter body: republish gauges + rotate the metrics window
   // every telemetry_report_interval_seconds until ~TMan signals stop.

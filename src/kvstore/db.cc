@@ -811,8 +811,7 @@ Status DB::Scan(const ReadOptions& ro, const Slice& start, const Slice& end,
   return iter->status();
 }
 
-Status DB::MultiScan(const ReadOptions& ro,
-                     const std::vector<ScanWindow>& windows,
+Status DB::MultiScan(const ReadOptions& ro, std::span<const ScanWindow> windows,
                      const ScanFilter* filter, size_t limit, RowSink* sink,
                      ScanStats* stats, MultiScanPerf* perf) {
   Stopwatch watch;  // read only when metrics are on

@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -107,7 +108,7 @@ class DB {
   // readahead is enabled from Options::multiscan_readahead_bytes unless
   // ro.readahead_bytes is already set. `perf` (optional) receives the
   // read-path counters for this call.
-  Status MultiScan(const ReadOptions& ro, const std::vector<ScanWindow>& windows,
+  Status MultiScan(const ReadOptions& ro, std::span<const ScanWindow> windows,
                    const ScanFilter* filter, size_t limit, RowSink* sink,
                    ScanStats* stats, MultiScanPerf* perf = nullptr);
 

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -896,6 +897,89 @@ TEST(ClusterDegradedTest, FlushAttemptsEveryRegionAndAnnotatesError) {
   fenv.ClearFaults();
   ASSERT_TRUE(table->Flush().ok());
   ASSERT_TRUE(table->CompactAll().ok());
+}
+
+// Records every delivered key and arms a one-shot read fault on one
+// region's files once it has delivered `after` rows, so that region's scan
+// fails mid-stream and its retry must resume just past the last key.
+class MidStreamFaultSink : public kv::RowSink {
+ public:
+  MidStreamFaultSink(kv::FaultInjectionEnv* env, uint8_t shard, uint64_t after)
+      : env_(env), shard_(shard), after_(after) {}
+
+  bool Accept(const Slice& key, const Slice& value) override {
+    (void)value;
+    if (!keys_.insert(key.ToString()).second) duplicates_++;
+    if (static_cast<uint8_t>(key[0]) == shard_ && ++shard_rows_ == after_) {
+      env_->FailReads("/t/shard" + std::to_string(shard_) + "/", 1);
+    }
+    return true;
+  }
+
+  size_t rows() const { return keys_.size(); }
+  uint64_t duplicates() const { return duplicates_; }
+
+ private:
+  kv::FaultInjectionEnv* env_;
+  uint8_t shard_;
+  uint64_t after_;
+  uint64_t shard_rows_ = 0;
+  uint64_t duplicates_ = 0;
+  std::set<std::string> keys_;
+};
+
+// Both groupings of the fan-out share one retry loop: a task that fails
+// after delivering rows resumes after its last delivered key, whether it
+// holds one window (ParallelScan) or a sorted batch (MultiScan).
+TEST(ClusterDegradedTest, MidStreamRetryResumesWithoutDuplicates) {
+  kv::FaultInjectionEnv fenv(kv::Env::Default());
+  kv::Options options;
+  options.env = &fenv;
+  options.block_cache_bytes = 1024;  // keep reads on disk
+  Cluster cluster(ClusterDir("midstream"), 2, options);
+  ASSERT_TRUE(cluster.CreateTable("t", kShards).ok());
+  ClusterTable* table = cluster.GetTable("t");
+  // Rows far larger than a block, so a region streams from many block
+  // reads (beyond MultiScan's readahead) and the fault lands mid-stream.
+  constexpr uint64_t kRows = 300;
+  std::vector<Row> rows;
+  for (uint8_t shard = 0; shard < kShards; shard++) {
+    for (uint64_t v = 0; v < kRows; v++) {
+      rows.push_back(Row{ShardKey(shard, v), std::string(1000, 'x')});
+    }
+  }
+  ASSERT_TRUE(table->BatchPut(rows).ok());
+  ASSERT_TRUE(table->Flush().ok());
+
+  RetryPolicy policy;
+  policy.max_retries = 3;
+  policy.initial_backoff_micros = 100;
+  table->set_retry_policy(policy);
+
+  // Three sorted windows per region.
+  std::vector<KeyRange> ranges;
+  for (uint8_t shard = 0; shard < kShards; shard++) {
+    ranges.push_back(KeyRange{ShardKey(shard, 0), ShardKey(shard, 100)});
+    ranges.push_back(KeyRange{ShardKey(shard, 100), ShardKey(shard, 200)});
+    ranges.push_back(KeyRange{ShardKey(shard, 200), ShardKey(shard, kRows)});
+  }
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "MultiScan" : "ParallelScan");
+    MidStreamFaultSink sink(&fenv, 1, 150);
+    kv::ScanStats stats;
+    ScanOutcome outcome;
+    const Status s =
+        batched ? table->MultiScan(ranges, nullptr, 0, &sink, &stats, nullptr,
+                                   nullptr, &outcome)
+                : table->ParallelScan(ranges, nullptr, 0, &sink, &stats,
+                                      nullptr, &outcome);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_GE(outcome.retries, 1u);
+    EXPECT_EQ(outcome.regions_failed, 0u);
+    EXPECT_EQ(sink.duplicates(), 0u);
+    EXPECT_EQ(sink.rows(), static_cast<size_t>(kShards) * kRows);
+    fenv.ClearFaults();
+  }
 }
 
 }  // namespace

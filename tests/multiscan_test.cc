@@ -4,6 +4,7 @@
 #include <atomic>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -309,12 +310,13 @@ TEST(ClusterMultiScanTest, MatchesParallelScan) {
   cluster::Cluster cluster_inst(dir, 3, kv_options);
   ASSERT_TRUE(cluster_inst.CreateTable("t", 4).ok());
   cluster::ClusterTable* table = cluster_inst.GetTable("t");
+  // A fresh 4-region table splits at the one-byte keys \x01..\x03, so
+  // first bytes 0..4 put rows in every region (region 3 holds 3 and 4).
   Random rng(99);
   std::vector<cluster::Row> rows;
   for (int i = 0; i < 3000; i++) {
-    // First byte spreads across all shards.
     std::string key;
-    key.push_back(static_cast<char>(rng.Uniform(256)));
+    key.push_back(static_cast<char>(rng.Uniform(5)));
     key += Key(static_cast<uint32_t>(i));
     rows.push_back(cluster::Row{key, "v" + std::to_string(i)});
   }
@@ -322,14 +324,22 @@ TEST(ClusterMultiScanTest, MatchesParallelScan) {
   ASSERT_TRUE(table->Flush().ok());
 
   EvenValueFilter filter;
+  std::set<int> regions_matched;
   for (int round = 0; round < 6; round++) {
     std::vector<cluster::KeyRange> ranges;
     for (int i = 0; i < 8; i++) {
-      std::string a, b;
-      a.push_back(static_cast<char>(rng.Uniform(256)));
-      b = a;
-      b.push_back(static_cast<char>(rng.Uniform(256)));
-      ranges.push_back(cluster::KeyRange{a, b});
+      // Half the ranges stay inside one first byte; the other half end in
+      // the next one, straddling the region boundary there when `first`
+      // is 0..2.
+      const char first = static_cast<char>(rng.Uniform(5));
+      const uint32_t lo = rng.Uniform(3000);
+      const bool straddle = rng.Uniform(2) == 0;
+      const uint32_t hi =
+          straddle ? rng.Uniform(3000) : lo + 1 + rng.Uniform(600);
+      ranges.push_back(cluster::KeyRange{
+          std::string(1, first) + Key(lo),
+          std::string(1, static_cast<char>(first + (straddle ? 1 : 0))) +
+              Key(hi)});
     }
     std::sort(ranges.begin(), ranges.end(),
               [](const cluster::KeyRange& x, const cluster::KeyRange& y) {
@@ -365,7 +375,12 @@ TEST(ClusterMultiScanTest, MatchesParallelScan) {
     // One task per region, never one per (region, window).
     EXPECT_LE(breakdown.size(), 4u);
     EXPECT_EQ(perf.seeks_issued + perf.seeks_saved, perf.windows);
+    for (const auto& r : breakdown) {
+      if (r.matched > 0) regions_matched.insert(r.shard);
+    }
   }
+  // The comparison covered every region, not just the last one.
+  EXPECT_EQ(regions_matched.size(), 4u);
   ASSERT_TRUE(cluster_inst.DropTable("t").ok());
 }
 

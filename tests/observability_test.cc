@@ -192,6 +192,43 @@ TEST_F(ObservabilityTest, TracedCountQuery) {
   EXPECT_EQ(stats.results, count);
 }
 
+// On the spatial primary (the paper configuration) a temporal count plans
+// as a TR-secondary fetch. It must still run once, as a count: one sample
+// in the count latency histogram, none in the row query's, its own trace
+// root, and the CountingFilter applied to the fetched primary rows.
+TEST_F(ObservabilityTest, TemporalCountRunsOnceAsACount) {
+  obs::Histogram* counts =
+      registry_->GetHistogram("tman_core_query_micros{type=\"count\"}");
+  obs::Histogram* row_queries = registry_->GetHistogram(
+      "tman_core_query_micros{type=\"temporal_range\"}");
+  const uint64_t counts_before = counts->count();
+  const uint64_t row_queries_before = row_queries->count();
+
+  QueryOptions qopts;
+  qopts.trace = true;
+  uint64_t count = 0;
+  QueryStats stats;
+  ASSERT_TRUE((*tman_)
+                  ->TemporalRangeCount(spec_->t0, spec_->t0 + 12 * 3600,
+                                       &count, &stats, qopts)
+                  .ok());
+  EXPECT_GT(count, 0u);
+  EXPECT_EQ(counts->count(), counts_before + 1);
+  EXPECT_EQ(row_queries->count(), row_queries_before);
+
+  EXPECT_EQ(stats.plan, "count:temporal");
+  EXPECT_EQ(stats.results, count);
+  ASSERT_NE(stats.trace, nullptr);
+  EXPECT_EQ(stats.trace->name(), "TemporalRangeCount");
+  const obs::TraceSpan* planning = stats.trace->Find("planning");
+  ASSERT_NE(planning, nullptr);
+  EXPECT_EQ(planning->GetAnnotationString("plan"), "secondary:tr");
+  const obs::TraceSpan* execute = stats.trace->Find("execute");
+  ASSERT_NE(execute, nullptr);
+  EXPECT_DOUBLE_EQ(execute->GetAnnotation("count"),
+                   static_cast<double>(count));
+}
+
 TEST_F(ObservabilityTest, ScrapeShowsEveryLayer) {
   // Touch each query family once so per-type histograms have samples.
   std::vector<traj::Trajectory> results;

@@ -42,14 +42,34 @@ TEST(TManEdgeTest, SpatialQueryNeedsSpatialPrimary) {
   options.primary = PrimaryIndexKind::kTemporal;
   std::unique_ptr<TMan> tman;
   ASSERT_TRUE(TMan::Open(options, TestDir("needsspatial"), &tman).ok());
+  ASSERT_TRUE(tman->BulkLoad(traj::Generate(spec, 20, 5)).ok());
+  traj::Trajectory probe;
+  probe.oid = "probe";
+  probe.tid = "probe-t0";
+  probe.points = {geo::TimedPoint{116.40, 39.90, spec.t0},
+                  geo::TimedPoint{116.41, 39.91, spec.t0 + 60}};
+  const geo::MBR rect{116, 39, 117, 40};
+
+  // Every spatial-only query is refused by its planner, through the same
+  // pipeline, before any row is read.
+  auto not_supported = [](const Status& s) {
+    return s.code() == Status::Code::kNotSupported;
+  };
   std::vector<traj::Trajectory> out;
-  const Status s =
-      tman->SpatialRangeQuery(geo::MBR{116, 39, 117, 40}, &out, nullptr);
-  EXPECT_FALSE(s.ok());
-  const Status sim = tman->ThresholdSimilarityQuery(
-      traj::Trajectory{}, geo::SimilarityMeasure::kFrechet, 0.1, &out,
-      nullptr);
-  EXPECT_FALSE(sim.ok());
+  QueryStats stats;
+  EXPECT_TRUE(not_supported(tman->SpatialRangeQuery(rect, &out, &stats)));
+  uint64_t count = 7;
+  EXPECT_TRUE(not_supported(tman->SpatialRangeCount(rect, &count, &stats)));
+  EXPECT_TRUE(not_supported(tman->ThresholdSimilarityQuery(
+      probe, geo::SimilarityMeasure::kFrechet, 0.1, &out, &stats)));
+  for (size_t k : {1, 5}) {
+    EXPECT_TRUE(not_supported(tman->TopKSimilarityQuery(
+        probe, geo::SimilarityMeasure::kFrechet, k, &out, &stats)))
+        << "k=" << k;
+  }
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(count, 0u);
+  EXPECT_EQ(stats.results, 0u);
 }
 
 TEST(TManEdgeTest, EmptyResultQueriesAreCleanly) {
