@@ -18,7 +18,8 @@
 // Usage: bench_balance [--check] [--out <path>]
 //   --check   exit nonzero unless (a) the balancer split at least once
 //             under the Zipfian workload, (b) balancer-on ingest is within
-//             30% of balancer-off on the uniform workload, and (c) the
+//             30% of balancer-off on the uniform workload (median on/off
+//             ratio over kUniformPairs interleaved pairs), and (c) the
 //             full-table scan is byte-identical with the balancer on vs
 //             off for both workloads (splits/merges must never change
 //             query results).
@@ -49,6 +50,10 @@ constexpr int kRowsPerBatch = 400;
 constexpr int kBatchesPerTick = 8;     // balancer cadence during ingest
 constexpr size_t kMaxRowsPerTrip = 40;
 constexpr uint32_t kQueryCellSpan = 16;  // cells per query range
+// Uniform off/on pairs behind the throughput gate. One pair's ratio swung
+// 0.57x-3.50x back to back on a shared 4-core host; the median of several
+// pairs, alternating which mode runs first, cancels drift between runs.
+constexpr int kUniformPairs = 5;
 
 // 24-bit origin cell of a point within the core bounds; row-major with
 // latitude as the major axis, so cell >> 22 (the leading key byte, in
@@ -329,8 +334,36 @@ int Run(bool check, const std::string& out_path) {
          "%d initial regions ===\n\n",
          uniform.rows.size(), zipf.rows.size(), kInitialShards);
 
-  const RunResult u_off = RunOne(uniform, false);
-  const RunResult u_on = RunOne(uniform, true);
+  // The table and JSON show the first uniform pair; the gate reads the
+  // median on/off ratio over all pairs, and every run's full-table scan
+  // must match the first off run's.
+  RunResult u_off, u_on;
+  std::vector<double> uniform_ratios;
+  bool uniform_scans_identical = true;
+  for (int pair = 0; pair < kUniformPairs; pair++) {
+    RunResult off, on;
+    if (pair % 2 == 0) {
+      off = RunOne(uniform, false);
+      on = RunOne(uniform, true);
+    } else {
+      on = RunOne(uniform, true);
+      off = RunOne(uniform, false);
+    }
+    if (pair == 0) {
+      u_off = off;
+      u_on = on;
+    }
+    uniform_ratios.push_back(
+        off.rows_per_sec > 0 ? on.rows_per_sec / off.rows_per_sec : 0);
+    for (const RunResult* r : {&off, &on}) {
+      uniform_scans_identical = uniform_scans_identical &&
+                                r->scan_hash == u_off.scan_hash &&
+                                r->scan_rows == u_off.scan_rows;
+    }
+  }
+  std::vector<double> sorted_ratios = uniform_ratios;
+  std::sort(sorted_ratios.begin(), sorted_ratios.end());
+  const double uniform_tput_ratio = sorted_ratios[sorted_ratios.size() / 2];
   const RunResult z_off = RunOne(zipf, false);
   const RunResult z_on = RunOne(zipf, true);
 
@@ -345,17 +378,22 @@ int Run(bool check, const std::string& out_path) {
       z_on.ingest_p99_ms > 0 ? z_off.ingest_p99_ms / z_on.ingest_p99_ms : 0;
   const double zipf_query_p99_ratio =
       z_on.query_p99_ms > 0 ? z_off.query_p99_ms / z_on.query_p99_ms : 0;
-  const double uniform_tput_ratio =
-      u_off.rows_per_sec > 0 ? u_on.rows_per_sec / u_off.rows_per_sec : 0;
-  const bool scans_identical = u_off.scan_hash == u_on.scan_hash &&
-                               u_off.scan_rows == u_on.scan_rows &&
+  const bool scans_identical = uniform_scans_identical &&
                                z_off.scan_hash == z_on.scan_hash &&
                                z_off.scan_rows == z_on.scan_rows;
   const unsigned cores = std::thread::hardware_concurrency();
+  std::string pair_list;  // "r1, r2, ..." for the report and the JSON
+  for (double r : uniform_ratios) {
+    char buf[16];
+    snprintf(buf, sizeof(buf), "%s%.2f", pair_list.empty() ? "" : ", ", r);
+    pair_list += buf;
+  }
   printf("\nzipf p99 off/on: ingest %.2fx  query %.2fx   uniform on/off "
-         "throughput: %.2fx   scans identical: %s   (%u core%s)\n",
+         "throughput: median %.2fx of %d pairs [%s]   scans identical: %s   "
+         "(%u core%s)\n",
          zipf_ingest_p99_ratio, zipf_query_p99_ratio, uniform_tput_ratio,
-         scans_identical ? "yes" : "NO", cores, cores == 1 ? "" : "s");
+         kUniformPairs, pair_list.c_str(), scans_identical ? "yes" : "NO",
+         cores, cores == 1 ? "" : "s");
 
   int failures = 0;
   if (check) {
@@ -372,12 +410,12 @@ int Run(bool check, const std::string& out_path) {
     }
     if (uniform_tput_ratio < 0.7) {
       fprintf(stderr,
-              "CHECK FAIL: balancer-on uniform ingest %.2fx of balancer-off "
-              "(< 0.7)\n",
+              "CHECK FAIL: balancer-on uniform ingest median %.2fx of "
+              "balancer-off (< 0.7)\n",
               uniform_tput_ratio);
       failures++;
     } else {
-      printf("check: uniform ingest with balancer on at %.2fx of off "
+      printf("check: uniform ingest with balancer on at median %.2fx of off "
              "(splits on=%" PRIu64 ")\n",
              uniform_tput_ratio, u_on.splits);
     }
@@ -417,16 +455,18 @@ int Run(bool check, const std::string& out_path) {
   AppendRunJson(&block, "zipf_on", z_on);
   block += "\n    },\n";
   {
-    char tail[512];
+    char tail[640];
     snprintf(tail, sizeof(tail),
              "    \"zipf_ingest_p99_off_over_on\": %.3f,\n"
              "    \"zipf_query_p99_off_over_on\": %.3f,\n"
              "    \"uniform_throughput_on_over_off\": %.3f,\n"
+             "    \"uniform_pair_ratios\": [%s],\n"
              "    \"scans_identical\": %s,\n"
              "    \"check\": {\"enabled\": %s, \"passed\": %s}\n"
              "  }\n",
              zipf_ingest_p99_ratio, zipf_query_p99_ratio, uniform_tput_ratio,
-             scans_identical ? "true" : "false", check ? "true" : "false",
+             pair_list.c_str(), scans_identical ? "true" : "false",
+             check ? "true" : "false",
              failures == 0 ? "true" : "false");
     block += tail;
   }

@@ -681,6 +681,9 @@ bool WindowsSortedDisjoint(std::span<const kv::ScanWindow> windows) {
 }  // namespace
 
 struct ClusterTable::ScanTask {
+  explicit ScanTask(Region* r, std::span<const kv::ScanWindow> w = {})
+      : region(r), windows(w) {}
+
   Region* region;
   // A slice of the clamped window list, which lives for the whole scan.
   std::span<const kv::ScanWindow> windows;
@@ -833,7 +836,7 @@ Status ClusterTable::ParallelScan(const std::vector<KeyRange>& ranges,
   for (const KeyRange& range : ranges) {
     for (const RoutingEntry* e : routing->Intersecting(range)) {
       clamped.push_back(ClampWindow(range, e->range));
-      tasks.push_back(ScanTask{e->region.get()});
+      tasks.emplace_back(e->region.get());
     }
   }
   for (size_t i = 0; i < tasks.size(); i++) {
@@ -867,7 +870,7 @@ Status ClusterTable::MultiScan(const std::vector<KeyRange>& ranges,
   std::vector<ScanTask> tasks;
   for (size_t i = 0; i < entries.size(); i++) {
     if (grouped[i].empty()) continue;
-    tasks.push_back(ScanTask{entries[i].region.get(), grouped[i]});
+    tasks.emplace_back(entries[i].region.get(), grouped[i]);
   }
   return FanOut(&tasks, /*batched=*/true, filter, limit, sink, stats,
                 breakdown, perf, outcome);

@@ -22,7 +22,8 @@ class Env;
 class EventListener;
 
 struct Options {
-  // Size at which the memtable is flushed to an L0 SSTable.
+  // Memtable bytes (entries, skiplist nodes, alignment slop) at which the
+  // memtable is sealed and flushed to an L0 SSTable.
   size_t write_buffer_size = 4 * 1024 * 1024;
 
   // Target uncompressed size of SSTable data blocks.
@@ -58,17 +59,6 @@ struct Options {
   // cluster passes its maintenance pool here). nullptr means each DB owns a
   // private single worker thread. Ignored when background_flush is false.
   tman::ThreadPool* background_pool = nullptr;
-
-  // If true (default), a group-commit leader that folded several queued
-  // writers into one WAL record wakes those writers after the record lands
-  // and lets each apply its own batch into the memtable in parallel
-  // (CAS-based concurrent skiplist insert), instead of replaying the whole
-  // group single-threaded. Sequence sub-ranges are pre-assigned so the
-  // result is byte-identical to the serial apply; the leader still owns WAL
-  // append + fsync ordering and publishes the group's visibility only after
-  // every applier finishes. If false, the leader applies the folded batch
-  // alone (the legacy single-writer memtable path).
-  bool allow_concurrent_memtable_write = true;
 
   // Number of levels (L0..Lmax-1).
   int num_levels = 7;

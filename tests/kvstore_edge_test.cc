@@ -39,7 +39,19 @@ TEST(ArenaTest, AllocationsAreDistinctAndUsable) {
       EXPECT_EQ(static_cast<unsigned char>(blocks[i - 1][j]), i & 0xff);
     }
   }
-  EXPECT_GT(arena.MemoryUsage(), 0u);
+  // Usage is the bytes handed out (1 + 2 + ... + 200), not whole blocks.
+  EXPECT_EQ(arena.MemoryUsage(), 200u * 201u / 2);
+}
+
+TEST(ArenaTest, MemoryUsageChargesBytesHandedOut) {
+  Arena arena;
+  EXPECT_EQ(arena.MemoryUsage(), 0u);
+  arena.Allocate(10);
+  EXPECT_EQ(arena.MemoryUsage(), 10u);  // not the 4 KiB block behind it
+  // An aligned allocation also pays the slop that realigns the bump pointer.
+  arena.AllocateAligned(16);
+  EXPECT_GE(arena.MemoryUsage(), 26u);
+  EXPECT_LT(arena.MemoryUsage(), 26u + alignof(std::max_align_t));
 }
 
 TEST(ArenaTest, AlignedAllocationsAreAligned) {
@@ -58,6 +70,7 @@ TEST(ArenaTest, LargeAllocationsGetOwnBlocks) {
   char* small = arena.Allocate(8);
   memset(small, 0x11, 8);
   EXPECT_EQ(static_cast<unsigned char>(big[0]), 0x5a);
+  EXPECT_EQ(arena.MemoryUsage(), 64u * 1024u + 8u);
 }
 
 // ---------------------------------------------------------------------------
@@ -389,6 +402,10 @@ TEST(DBConcurrencyTest, ConcurrentReadersSeeConsistentData) {
   reader.join();
   scanner.join();
   EXPECT_EQ(reader_errors.load(), 0);
+  // ~440 KB of churn against a 32 KiB buffer flushed and compacted under
+  // the readers.
+  EXPECT_GE(db->GetStats().flush_count, 6u);
+  EXPECT_GE(db->GetStats().compaction_count, 1u);
 }
 
 // Overwrite-heavy workload: compaction must drop shadowed versions but
@@ -407,6 +424,8 @@ TEST(DBEdgeTest, HeavyOverwrites) {
                       .ok());
     }
   }
+  // Shadowed versions spread over many L0 tables before the full compaction.
+  EXPECT_GE(db->GetStats().flush_count, 5u);
   ASSERT_TRUE(db->CompactAll().ok());
   for (int k = 0; k < 50; k++) {
     std::string value;

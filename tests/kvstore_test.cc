@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "kvstore/bloom.h"
@@ -309,6 +312,8 @@ TEST(DBTest, IteratorSeesSortedUserKeys) {
     model[key] = value;
     ASSERT_TRUE(db->Put(wo, key, value).ok());
   }
+  // ~150 KB of entries against a 16 KiB buffer: several memtable flushes.
+  EXPECT_GE(db->GetStats().flush_count, 4u);
   std::unique_ptr<Iterator> iter(db->NewIterator(ReadOptions()));
   iter->SeekToFirst();
   for (const auto& [k, v] : model) {
@@ -360,9 +365,12 @@ TEST(DBTest, CompactionPreservesData) {
   }
   ASSERT_TRUE(db->CompactAll().ok());
 
-  // After full compaction L0 must be empty and data intact.
+  // After full compaction L0 must be empty and data intact. The 8 KiB
+  // buffer flushed many times and background compaction ran on its own.
   DB::Stats stats = db->GetStats();
   EXPECT_EQ(stats.files_per_level[0], 0);
+  EXPECT_GE(stats.flush_count, 20u);
+  EXPECT_GE(stats.compaction_count, 2u);
   for (const auto& [k, v] : model) {
     std::string value;
     ASSERT_TRUE(db->Get(ReadOptions(), k, &value).ok()) << k;
@@ -420,6 +428,9 @@ TEST(DBTest, ReopenAfterCompactionKeepsManifest) {
                       .ok());
     }
     ASSERT_TRUE(db->CompactAll().ok());
+    // Several L0 tables were merged into the manifest's deeper levels.
+    EXPECT_GE(db->GetStats().flush_count, 5u);
+    EXPECT_GE(db->GetStats().compaction_count, 1u);
   }
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, dir, &db).ok());
@@ -496,6 +507,10 @@ TEST_P(DBFuzzTest, MatchesModelUnderRandomOps) {
     }
   }
 
+  // The 4 KiB buffer flushed many times and compactions reshaped the tree.
+  EXPECT_GE(db->GetStats().flush_count, 20u);
+  EXPECT_GE(db->GetStats().compaction_count, 2u);
+
   // Point lookups match the model.
   for (int i = 0; i < 300; i++) {
     std::string key = "fz" + std::to_string(i);
@@ -523,6 +538,57 @@ TEST_P(DBFuzzTest, MatchesModelUnderRandomOps) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DBFuzzTest, ::testing::Values(1, 2, 3, 4, 5));
+
+// write_buffer_size bounds memtable bytes at any writer count: the entries
+// one flush carries stay within 2x of write_buffer_size / entry_bytes, where
+// entry_bytes is the user key + value size. (The memtable also pays for the
+// sequence tag, length prefixes and skiplist node of each entry.)
+TEST(DBTest, WriteBufferSizeBoundsEntriesPerFlush) {
+  constexpr size_t kKeyBytes = 16;
+  constexpr size_t kValueBytes = 100;
+  constexpr double kEntryBytes = kKeyBytes + kValueBytes;
+  const std::string value(kValueBytes, 'v');
+  for (size_t buffer : {4 * 1024, 8 * 1024, 64 * 1024, 256 * 1024}) {
+    for (int writers : {1, 4}) {
+      SCOPED_TRACE("write_buffer_size " + std::to_string(buffer) + ", " +
+                   std::to_string(writers) + " writers");
+      std::string dir = TestDir("wbs_" + std::to_string(buffer) + "_" +
+                                std::to_string(writers));
+      Options options;
+      options.write_buffer_size = buffer;
+      std::unique_ptr<DB> db;
+      ASSERT_TRUE(DB::Open(options, dir, &db).ok());
+
+      const double expected = buffer / kEntryBytes;
+      // About 16 buffers' worth, so the final partial flush barely moves
+      // the mean.
+      const int per_writer = static_cast<int>(expected * 16) / writers;
+      std::vector<std::thread> threads;
+      std::atomic<int> failures{0};
+      for (int t = 0; t < writers; t++) {
+        threads.emplace_back([&, t] {
+          for (int i = 0; i < per_writer; i++) {
+            char key[kKeyBytes + 1];
+            snprintf(key, sizeof(key), "%02d-%013d", t, i);
+            if (!db->Put(WriteOptions(), Slice(key, kKeyBytes), value).ok()) {
+              failures.fetch_add(1);
+            }
+          }
+        });
+      }
+      for (auto& th : threads) th.join();
+      ASSERT_EQ(failures.load(), 0);
+      ASSERT_TRUE(db->Flush().ok());
+
+      const DB::Stats stats = db->GetStats();
+      ASSERT_GT(stats.flush_count, 0u);
+      const double per_flush =
+          static_cast<double>(per_writer) * writers / stats.flush_count;
+      EXPECT_GE(per_flush, expected / 2) << stats.flush_count << " flushes";
+      EXPECT_LE(per_flush, expected * 2) << stats.flush_count << " flushes";
+    }
+  }
+}
 
 }  // namespace
 }  // namespace tman::kv

@@ -101,6 +101,15 @@ void LoadTieredDB(DB* db, uint32_t n, Random* rng) {
   for (uint32_t i = 0; i < n; i += 17) {
     ASSERT_TRUE(db->Delete(WriteOptions(), Key(i)).ok());
   }
+  // All three tiers hold data.
+  const DB::Stats stats = db->GetStats();
+  EXPECT_GT(stats.memtable_bytes, 0u);
+  EXPECT_GE(stats.files_per_level[0], 1);
+  int deeper = 0;
+  for (size_t l = 1; l < stats.files_per_level.size(); l++) {
+    deeper += stats.files_per_level[l];
+  }
+  EXPECT_GE(deeper, 1);
 }
 
 std::vector<std::string> MakeWindowKeys(uint32_t n, size_t num_windows,
@@ -289,7 +298,15 @@ TEST(MultiScanTest, DifferentialUnderConcurrentBackgroundWork) {
     });
   }
 
-  for (int round = 0; round < 25; round++) {
+  // At least 25 rounds, and more until the churn has flushed and compacted
+  // while scans ran (bounded so a stuck flush fails instead of hanging).
+  const DB::Stats before = db->GetStats();
+  auto churned = [&] {
+    const DB::Stats now = db->GetStats();
+    return now.flush_count >= before.flush_count + 8 &&
+           now.compaction_count >= before.compaction_count + 1;
+  };
+  for (int round = 0; round < 25 || (!churned() && round < 5000); round++) {
     RecordingSink actual;
     MultiScanPerf perf;
     ASSERT_TRUE(db->MultiScan(ReadOptions(), windows, nullptr, 0, &actual,
@@ -299,6 +316,7 @@ TEST(MultiScanTest, DifferentialUnderConcurrentBackgroundWork) {
   }
   stop.store(true);
   for (auto& w : writers) w.join();
+  EXPECT_TRUE(churned());
 }
 
 // ---------------------------------------------------------------------------

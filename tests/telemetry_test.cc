@@ -232,6 +232,9 @@ TEST(EventListenerTest, WriteStallEpisodesArePaired) {
     ASSERT_TRUE(db->Put(kv::WriteOptions(), Key(i), value).ok());
     if (db->GetStats().stall_count > 4) break;
   }
+  // ~7 writes of 512 B fill a 4 KiB memtable: the throttling came from a
+  // real flush backlog.
+  EXPECT_GE(db->GetStats().flush_count, 2u);
   db.reset();  // final drain
 
   std::lock_guard<std::mutex> lock(listener.mu_);
@@ -278,11 +281,17 @@ TEST(EventListenerTest, BackgroundErrorDeliveredOnceAndStops) {
 
   fenv.NoSpaceAppends(".sst", -1);  // every SSTable build fails
   Status s;
+  int acked = 0;
   for (int i = 0; i < 20000; i++) {
     s = db->Put(kv::WriteOptions(), Key(i), std::string(128, 'x'));
     if (!s.ok()) break;
+    acked++;
   }
   ASSERT_FALSE(s.ok());
+  // The failing flush came from a 4 KiB memtable of ~20 writes, and the
+  // next one to fill ran into the sticky error.
+  EXPECT_GE(acked, 10);
+  EXPECT_LT(acked, 500);
   {
     std::lock_guard<std::mutex> lock(listener.mu_);
     EXPECT_EQ(listener.bg_errors, 1);  // sticky error emitted exactly once
